@@ -1,12 +1,13 @@
-"""Manager/worker execution over sockets: sweeps that span hosts.
+"""The socket worker pool: sweeps that span hosts.
 
-The fork-based :class:`~repro.engine.supervisor.TaskSupervisor` fans a
-sweep out across the cores of *one* machine.  This module is the same
-libEnsemble-style manager/worker loop stretched over TCP so workers can
-live anywhere: the manager listens, workers connect (self-launched local
-subprocesses, or ``repro-mrd worker --connect host:port`` on any machine
-that has the package), and tasks flow over a length-prefixed JSON
-protocol.
+:class:`DistributedSupervisor` runs the engine's one manager loop
+(:meth:`~repro.engine.supervisor.Supervisor.run`) over TCP workers
+instead of forked children, so workers can live anywhere: the manager
+listens, workers connect (self-launched local subprocesses, or
+``repro-mrd worker --connect host:port`` on any machine that has the
+package), and tasks flow over a length-prefixed JSON protocol.  Retry,
+backoff, quarantine, deadlines and serial degradation are the loop's;
+this module supplies the pool -- membership, framing and the wire codec.
 
 **Framing.**  Every message is a 4-byte big-endian length followed by
 that many bytes of UTF-8 JSON.  Messages carry a ``type``:
@@ -30,16 +31,15 @@ manager caches and journals results under the same keys as the local
 pool.  A socket sweep is therefore bitwise identical to a single-process
 sweep no matter which host computed what.
 
-**Supervision.**  :class:`DistributedSupervisor` mirrors
-:meth:`TaskSupervisor.run <repro.engine.supervisor.TaskSupervisor.run>`
--- same ``run(requests, on_complete)`` shape, same
-:class:`~repro.engine.supervisor.SupervisorStats`, same
-:class:`~repro.engine.supervisor.EvalFailure` quarantine after the
-shared :class:`~repro.util.retry.RetryPolicy`'s attempt budget.  A
-worker that dies (EOF) or blows the task deadline fails only its current
-task; self-launched workers are respawned, external ones simply leave
-the pool.  If the pool empties and cannot be refilled, the remainder
-runs serially in-process -- exactly the fork pool's degradation path.
+**Membership.**  Only workers that said a valid hello count as the pool.
+A connection that sends anything but well-formed frames -- a body that is
+not UTF-8 JSON, a frame that is not an object, a result without the
+index of the task it holds -- is a protocol crash of that worker: it is
+dropped and its in-flight task charged.  A connection that stays silent
+past ``worker_wait`` is dropped.  Self-launched workers that die after
+their hello are respawned; one that exits before its hello is reaped
+and not replaced.  A pool left without workers for ``worker_wait`` is
+exhausted, and the loop finishes the run serially in-process.
 """
 
 from __future__ import annotations
@@ -52,21 +52,12 @@ import struct
 import subprocess
 import sys
 import time
-import traceback
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import ContextManager
 
 from repro.core.hierarchy import Hierarchy
-from repro.engine import chaos
 from repro.engine.keys import CACHE_SCHEMA, EvalRequest
-from repro.engine.supervisor import (
-    EvalFailure,
-    SupervisorStats,
-    TaskAttempt,
-    TaskSupervisor,
-    _TaskState,
-    _traceback_digest,
-)
+from repro.engine.supervisor import Supervisor, WorkerPool, execute
 from repro.topology.machine import LevelParams, MachineTopology
 from repro.util.retry import RetryPolicy
 
@@ -77,10 +68,6 @@ PROTOCOL_VERSION = 1
 #: Upper bound on one frame; anything larger is a protocol violation
 #: (results are small dicts of floats, requests a few KiB of topology).
 MAX_FRAME = 64 * 1024 * 1024
-
-#: Select timeout of the manager loop (seconds); liveness, deadlines and
-#: respawns are checked at least this often.
-_POLL_S = 0.05
 
 _LEN = struct.Struct(">I")
 
@@ -115,6 +102,18 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
+def _decode(body: bytes) -> dict:
+    """Parse one frame body; anything but a UTF-8 JSON object is a
+    :class:`ProtocolError`."""
+    try:
+        doc = json.loads(body.decode())
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
+        raise ProtocolError(f"malformed frame: {err}") from None
+    if not isinstance(doc, dict):
+        raise ProtocolError(f"expected a JSON object frame, got {type(doc).__name__}")
+    return doc
+
+
 def recv_frame(sock: socket.socket) -> dict | None:
     """Blocking read of one frame; None on clean EOF."""
     header = _recv_exact(sock, _LEN.size)
@@ -126,10 +125,7 @@ def recv_frame(sock: socket.socket) -> dict | None:
     body = _recv_exact(sock, length)
     if body is None:
         raise ProtocolError("connection closed mid-frame")
-    doc = json.loads(body.decode())
-    if not isinstance(doc, dict):
-        raise ProtocolError(f"expected a JSON object frame, got {type(doc)}")
-    return doc
+    return _decode(body)
 
 
 # -- request wire form -------------------------------------------------------
@@ -282,10 +278,11 @@ def run_worker(
     """Connect to a manager and evaluate tasks until told to stop.
 
     Retries the initial connect for ``connect_timeout`` seconds (the
-    manager may still be starting), then serves the task loop.  Chaos
-    injection (:mod:`repro.engine.chaos`) applies exactly as in the fork
-    pool -- a ``crash``-mode hit SIGKILLs this process and the manager's
-    EOF handling retries the task elsewhere.  Returns the exit code.
+    manager may still be starting), then serves the task loop.  Each task
+    runs through :func:`~repro.engine.supervisor.execute`, exactly as in
+    the fork pool -- a ``crash``-mode chaos hit SIGKILLs this process and
+    the manager's EOF handling retries the task elsewhere.  Returns the
+    exit code.
     """
     deadline = time.monotonic() + connect_timeout
     while True:
@@ -302,7 +299,6 @@ def run_worker(
                 return 1
             time.sleep(0.2)
     sock.settimeout(None)  # tasks may run long; block freely
-    import repro.engine.evaluators as evaluators
 
     try:
         send_frame(
@@ -324,26 +320,14 @@ def run_worker(
                 return 0
             if msg.get("type") != "task":
                 continue  # future message types are ignorable by design
-            index = msg["index"]
-            try:
-                request = request_from_wire(msg["request"])
-                chaos.maybe_inject(request.key, int(msg["attempt"]))
-                result = evaluators.evaluate_request(request)
-            except BaseException as err:  # noqa: BLE001 - report, don't die
-                reply = {
-                    "type": "result",
-                    "index": index,
-                    "status": "error",
-                    "detail": repr(err),
-                    "digest": _traceback_digest(traceback.format_exc()),
-                }
+            status, payload = execute(
+                request_from_wire(msg["request"]), int(msg["attempt"])
+            )
+            reply = {"type": "result", "index": msg["index"], "status": status}
+            if status == "ok":
+                reply["result"] = payload
             else:
-                reply = {
-                    "type": "result",
-                    "index": index,
-                    "status": "ok",
-                    "result": result,
-                }
+                reply["detail"], reply["digest"] = payload
             try:
                 send_frame(sock, reply)
             except OSError:
@@ -376,22 +360,15 @@ def spawn_local_worker(host: str, port: int) -> subprocess.Popen:
 # -- manager side ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class _Remote:
-    """One connected worker: socket, parse buffer, and task state."""
+    """One accepted connection: socket, parse buffer, and membership."""
 
     sock: socket.socket
-    addr: tuple
+    accepted: float = field(default_factory=time.monotonic)
     proc: subprocess.Popen | None = None  # set for self-launched workers
     ready: bool = False  # hello received and accepted
     buf: bytes = b""
-    task: int | None = None
-    started: float = 0.0
-    deadline: float | None = None
-
-    @property
-    def idle(self) -> bool:
-        return self.ready and self.task is None
 
     def close(self) -> None:
         try:
@@ -400,8 +377,228 @@ class _Remote:
             pass
 
 
-class DistributedSupervisor:
-    """Socket-pool counterpart of :class:`TaskSupervisor`.
+class _SocketPool:
+    """:class:`~repro.engine.supervisor.WorkerPool` of TCP workers.
+
+    Lives across runs (connections are expensive); entering it starts
+    the clock on how long it may stay empty.
+    """
+
+    def __init__(self, host: str, port: int, spawn: int, min_workers: int,
+                 worker_wait: float):
+        self.min_workers = min_workers
+        self.worker_wait = worker_wait
+        self.protocol_rejects = 0  # workers dropped at hello
+        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._server.bind((host, port))
+        self._server.listen(128)
+        self._server.setblocking(False)
+        self.address: tuple[str, int] = self._server.getsockname()[:2]
+        self._conns: list[_Remote] = []
+        self._starting: dict[int, subprocess.Popen] = {}  # launched, no hello yet
+        self._lost = 0  # self-launched workers discarded since the last refill
+        self._born = time.monotonic()
+        self._empty_since: float | None = None
+        for _ in range(spawn):
+            self._spawn()
+
+    def __enter__(self) -> "_SocketPool":
+        self._empty_since = None
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        pass
+
+    def ready(self) -> list[_Remote]:
+        return [w for w in self._conns if w.ready]
+
+    def close(self) -> None:
+        """Politely stop every worker and release the listen socket."""
+        for w in self._conns:
+            try:
+                send_frame(w.sock, {"type": "shutdown"})
+            except OSError:
+                pass
+            w.close()
+            if w.proc is not None:
+                try:
+                    w.proc.wait(timeout=2.0)
+                except subprocess.TimeoutExpired:
+                    w.proc.kill()
+                    w.proc.wait(timeout=5.0)
+        self._conns.clear()
+        for proc in self._starting.values():
+            try:
+                proc.kill()
+                proc.wait(timeout=5.0)
+            except (OSError, subprocess.TimeoutExpired):
+                pass
+        self._starting.clear()
+        try:
+            self._server.close()
+        except OSError:
+            pass
+
+    # -- WorkerPool ----------------------------------------------------------
+
+    def workers(self) -> list[_Remote]:
+        ready = self.ready()
+        if (
+            len(ready) < self.min_workers
+            and time.monotonic() - self._born < self.worker_wait
+        ):
+            return []  # let the pool fill before the first dispatch
+        return ready
+
+    def send(self, worker: _Remote, index: int, attempt: int,
+             request: EvalRequest) -> None:
+        send_frame(
+            worker.sock,
+            {
+                "type": "task",
+                "index": index,
+                "attempt": attempt,
+                "request": request_to_wire(request),
+            },
+        )
+
+    def wait(self, timeout: float) -> list[tuple[_Remote, tuple]]:
+        self._accept()
+        socks = [self._server] + [w.sock for w in self._conns]
+        try:
+            readable, _, _ = select.select(socks, [], [], timeout)
+        except (OSError, ValueError):
+            readable = []
+        events: list[tuple[_Remote, tuple]] = []
+        for worker in [w for w in self._conns if w.sock in readable]:
+            try:
+                chunk = worker.sock.recv(1 << 16)
+            except OSError:
+                chunk = b""
+            if not chunk:
+                events.append((worker, ("lost", None, "worker connection closed")))
+                continue
+            worker.buf += chunk
+            try:
+                self._drain_frames(worker, events)
+            except ProtocolError as err:
+                events.append((worker, ("lost", None, f"protocol error: {err}")))
+        self._expire()
+        return events
+
+    def discard(self, worker: _Remote) -> None:
+        if worker not in self._conns:
+            return
+        self._conns.remove(worker)
+        worker.close()
+        if worker.proc is not None:
+            try:
+                worker.proc.kill()
+                worker.proc.wait(timeout=5.0)
+            except (OSError, subprocess.TimeoutExpired):
+                pass
+            self._lost += 1
+
+    def refill(self) -> int:
+        started = sum(self._spawn() for _ in range(self._lost))
+        self._lost = 0
+        return started
+
+    def exhausted(self) -> bool:
+        if self.ready():
+            self._empty_since = None
+            return False
+        now = time.monotonic()
+        if self._empty_since is None:
+            self._empty_since = now
+        return now - self._empty_since >= self.worker_wait
+
+    # -- internals -----------------------------------------------------------
+
+    def _spawn(self) -> bool:
+        host, port = self.address
+        try:
+            proc = spawn_local_worker(host, port)
+        except OSError:
+            return False
+        # The connection arrives asynchronously; the hello frame's pid
+        # pairs it with this proc.
+        self._starting[proc.pid] = proc
+        return True
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._server.accept()
+            except OSError:  # BlockingIOError: nobody is waiting
+                return
+            # Blocking socket: select() gates reads, and sendall() must
+            # never leave a partial frame on the wire.
+            sock.setblocking(True)
+            self._conns.append(_Remote(sock=sock))
+
+    def _expire(self) -> None:
+        """Drop connections silent past ``worker_wait``; reap launched
+        workers that exited before saying hello."""
+        now = time.monotonic()
+        for w in [w for w in self._conns
+                  if not w.ready and now - w.accepted >= self.worker_wait]:
+            self._conns.remove(w)
+            w.close()
+        for pid, proc in list(self._starting.items()):
+            if proc.poll() is not None:
+                del self._starting[pid]
+
+    def _drain_frames(self, worker: _Remote, events: list) -> None:
+        """Turn every complete frame in the worker's buffer into events."""
+        while len(worker.buf) >= _LEN.size:
+            (length,) = _LEN.unpack_from(worker.buf)
+            if length > MAX_FRAME:
+                raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME}")
+            end = _LEN.size + length
+            if len(worker.buf) < end:
+                return
+            body, worker.buf = worker.buf[_LEN.size : end], worker.buf[end:]
+            event = self._handle(worker, _decode(body))
+            if event is not None:
+                events.append((worker, event))
+
+    def _handle(self, worker: _Remote, msg: dict) -> tuple | None:
+        kind = msg.get("type")
+        if kind == "hello":
+            if (
+                msg.get("version") != PROTOCOL_VERSION
+                or msg.get("schema") != CACHE_SCHEMA
+            ):
+                self.protocol_rejects += 1
+                raise ProtocolError(
+                    f"worker speaks protocol {msg.get('version')}/schema "
+                    f"{msg.get('schema')}, need {PROTOCOL_VERSION}/{CACHE_SCHEMA}"
+                )
+            worker.ready = True
+            pid = msg.get("pid")
+            if isinstance(pid, int):
+                worker.proc = self._starting.pop(pid, None)
+            return None
+        if kind != "result":
+            return None
+        index = msg.get("index")  # the loop checks it against the task held
+        if msg.get("status") != "ok":
+            detail = str(msg.get("detail", "worker error"))
+            return ("error", index, (detail, str(msg.get("digest", ""))))
+        result = msg.get("result")
+        if not isinstance(result, dict):
+            detail = f"worker returned a {type(result).__name__}, not a dict"
+            return ("error", index, (detail, ""))
+        # JSON round-trips every float bit-exactly (repr-based shortest
+        # form, inf included), so the result document is byte-identical
+        # to a locally evaluated one.
+        return ("ok", index, {str(k): v for k, v in result.items()})
+
+
+class DistributedSupervisor(Supervisor):
+    """The manager loop over a socket pool instead of forked children.
 
     Parameters
     ----------
@@ -414,17 +611,17 @@ class DistributedSupervisor:
     policy:
         Shared retry policy: attempt budget, backoff, per-task deadline.
     min_workers:
-        Connections to wait for before the first dispatch (lets CI start
+        Workers to wait for before the first dispatch (lets CI start
         the manager before its workers).  Defaults to 1 when ``spawn`` is
         0, else 0 (spawned workers arrive on their own).
     worker_wait:
-        Seconds to wait for the pool to (re)fill before degrading to
-        serial in-process execution.
+        Seconds a connection may stay silent before its hello, and the
+        pool may stay without workers, before the run degrades to serial
+        in-process execution.
 
     The pool persists across :meth:`run` calls (connections are
-    expensive); :attr:`stats` is reset per run so callers can merge
-    deltas exactly like :class:`TaskSupervisor`'s.  Use as a context
-    manager or call :meth:`close` to shut workers down.
+    expensive); :attr:`stats` is reset per run like every supervisor's.
+    Use as a context manager or call :meth:`close` to shut workers down.
     """
 
     def __init__(
@@ -438,29 +635,15 @@ class DistributedSupervisor:
     ):
         if spawn < 0:
             raise ValueError("spawn must be >= 0")
-        self.policy = policy or RetryPolicy()
+        super().__init__(policy)
         self.spawn_target = spawn
         self.min_workers = (
             min_workers if min_workers is not None else (1 if spawn == 0 else 0)
         )
         self.worker_wait = worker_wait
-        self.stats = SupervisorStats()
-        self.protocol_rejects = 0  # workers dropped at hello
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind((host, port))
-        self._server.listen(128)
-        self._server.setblocking(False)
-        self.address: tuple[str, int] = self._server.getsockname()[:2]
-        self._workers: list[_Remote] = []
-        self._pending_procs: dict[int, subprocess.Popen] = {}
-        self._spawned_total = 0
-        self._born = time.monotonic()
+        self._sockets = _SocketPool(host, port, spawn, self.min_workers, worker_wait)
+        self.address: tuple[str, int] = self._sockets.address
         self._closed = False
-        for _ in range(spawn):
-            self._spawn()
-
-    # -- lifecycle ---------------------------------------------------------
 
     def __enter__(self) -> "DistributedSupervisor":
         return self
@@ -469,336 +652,29 @@ class DistributedSupervisor:
         self.close()
 
     @property
+    def protocol_rejects(self) -> int:
+        """Workers dropped at hello for a protocol or schema mismatch."""
+        return self._sockets.protocol_rejects
+
+    @property
     def worker_pids(self) -> list[int]:
         """PIDs of the self-launched local workers (tests kill these)."""
-        return [w.proc.pid for w in self._workers if w.proc is not None]
+        return [w.proc.pid for w in self._sockets.ready() if w.proc is not None]
 
     @property
     def n_connected(self) -> int:
-        return sum(1 for w in self._workers if w.ready)
+        return len(self._sockets.ready())
 
     def close(self) -> None:
         """Politely stop every worker and release the listen socket."""
-        if self._closed:
-            return
-        self._closed = True
-        for w in self._workers:
-            try:
-                send_frame(w.sock, {"type": "shutdown"})
-            except OSError:
-                pass
-            w.close()
-            if w.proc is not None:
-                try:
-                    w.proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    w.proc.kill()
-                    w.proc.wait(timeout=5.0)
-        self._workers.clear()
-        for proc in self._pending_procs.values():
-            try:
-                proc.kill()
-                proc.wait(timeout=5.0)
-            except (OSError, subprocess.TimeoutExpired):
-                pass
-        self._pending_procs.clear()
-        try:
-            self._server.close()
-        except OSError:
-            pass
+        if not self._closed:
+            self._closed = True
+            self._sockets.close()
 
-    # -- the manager loop --------------------------------------------------
-
-    def run(
-        self,
-        requests: Sequence[EvalRequest],
-        on_complete: Callable[[int, dict | EvalFailure], None] | None = None,
-    ) -> list[dict | EvalFailure]:
-        """Evaluate ``requests``; results align with the input order.
-
-        Mirrors :meth:`TaskSupervisor.run` exactly: per-index dispatch,
-        retry/quarantine under the policy, ``on_complete`` fired from
-        this process the moment each task settles.
-        """
+    def _pool(self, n_tasks: int) -> ContextManager[WorkerPool | None]:
         if self._closed:
             raise RuntimeError("supervisor is closed")
-        self.stats = SupervisorStats()  # per-run, merged by the engine
-        if not requests:
-            return []
-        tasks = {i: _TaskState(r) for i, r in enumerate(requests)}
-        pending: list[int] = sorted(tasks)
-        results: dict[int, dict | EvalFailure] = {}
-        pool_empty_since: float | None = None
-
-        def complete(index: int, outcome: dict | EvalFailure) -> None:
-            results[index] = outcome
-            if on_complete is not None:
-                on_complete(index, outcome)
-
-        def register_failure(
-            index: int, cause: str, detail: str, digest: str, elapsed: float
-        ) -> None:
-            state = tasks[index]
-            attempt_no = state.n_attempts
-            if cause == "crash":
-                self.stats.crashes += 1
-            elif cause == "timeout":
-                self.stats.timeouts += 1
-            else:
-                self.stats.exceptions += 1
-            if attempt_no + 1 >= self.policy.max_attempts:
-                state.attempts.append(
-                    TaskAttempt(attempt_no, cause, detail, digest, elapsed, 0.0)
-                )
-                failure = EvalFailure(
-                    key=state.request.key,
-                    model=state.request.model,
-                    cause=cause,
-                    attempts=tuple(state.attempts),
-                )
-                self.stats.quarantined += 1
-                complete(index, failure)
-            else:
-                backoff = self.policy.backoff(attempt_no)
-                state.attempts.append(
-                    TaskAttempt(attempt_no, cause, detail, digest, elapsed, backoff)
-                )
-                state.not_before = time.monotonic() + backoff
-                self.stats.retries += 1
-                pending.append(index)
-                pending.sort()
-
-        def fail_worker(worker: _Remote, cause: str, detail: str) -> None:
-            """Drop a worker; charge its in-flight task, if any."""
-            if worker.task is not None:
-                elapsed = time.monotonic() - worker.started
-                register_failure(worker.task, cause, detail, "", elapsed)
-            worker.close()
-            if worker in self._workers:
-                self._workers.remove(worker)
-            if worker.proc is not None:
-                try:
-                    worker.proc.kill()
-                except OSError:
-                    pass
-
-        while len(results) < len(requests):
-            self._accept()
-            self._respawn_dead(work_remains=True)
-            now = time.monotonic()
-
-            # 1. Dispatch ready tasks to idle, hello'd workers.
-            waiting_for_pool = (
-                self.n_connected < self.min_workers
-                and self._age() < self.worker_wait
-            )
-            if not waiting_for_pool:
-                ready = [i for i in pending if tasks[i].not_before <= now]
-                for worker in self._workers:
-                    if not ready:
-                        break
-                    if not worker.idle:
-                        continue
-                    index = ready.pop(0)
-                    pending.remove(index)
-                    state = tasks[index]
-                    try:
-                        send_frame(
-                            worker.sock,
-                            {
-                                "type": "task",
-                                "index": index,
-                                "attempt": state.n_attempts,
-                                "request": request_to_wire(state.request),
-                            },
-                        )
-                    except OSError:
-                        # Never started: requeue without charging an attempt.
-                        pending.append(index)
-                        pending.sort()
-                        fail_worker(worker, "crash", "dispatch failed")
-                        break
-                    worker.task = index
-                    worker.started = now
-                    worker.deadline = (
-                        now + self.policy.timeout
-                        if self.policy.timeout is not None
-                        else None
-                    )
-                    self.stats.dispatched += 1
-
-            busy = [w for w in self._workers if w.task is not None]
-            if not self._workers and not busy:
-                if pool_empty_since is None:
-                    pool_empty_since = now
-                refillable = self.spawn_target > 0
-                if (
-                    not refillable
-                    and now - pool_empty_since >= self.worker_wait
-                    and self._age() >= self.worker_wait
-                ):
-                    # No workers, none coming: finish serially in-process,
-                    # reusing the fork supervisor's serial loop (its stats
-                    # object is aliased so counters land here).
-                    self.stats.degraded_serial = True
-                    serial = TaskSupervisor(jobs=1, policy=self.policy)
-                    serial.stats = self.stats
-                    remaining = [i for i in pending if i not in results]
-                    pending.clear()
-                    serial._run_serial(
-                        list(requests), on_complete, remaining,
-                        results=results, tasks=tasks,
-                    )
-                    break
-            else:
-                pool_empty_since = None
-
-            # 2. Wait for traffic (bounded by deadlines and the poll tick).
-            timeout = _POLL_S
-            deadlines = [w.deadline for w in busy if w.deadline is not None]
-            if deadlines:
-                timeout = min(timeout, max(1e-4, min(deadlines) - now))
-            socks = [self._server] + [w.sock for w in self._workers]
-            try:
-                readable, _, _ = select.select(socks, [], [], timeout)
-            except (OSError, ValueError):
-                readable = []
-            for sock in readable:
-                if sock is self._server:
-                    continue  # accepted at the top of the loop
-                worker = next(
-                    (w for w in self._workers if w.sock is sock), None
-                )
-                if worker is None:
-                    continue
-                try:
-                    chunk = sock.recv(1 << 16)
-                except OSError:
-                    chunk = b""
-                if not chunk:
-                    fail_worker(worker, "crash", "worker connection closed")
-                    continue
-                worker.buf += chunk
-                try:
-                    self._drain_frames(worker, register_failure, complete)
-                except ProtocolError as err:
-                    fail_worker(worker, "crash", f"protocol error: {err}")
-
-            # 3. Deadline supervision.
-            now = time.monotonic()
-            for worker in list(self._workers):
-                if worker.task is None or worker.deadline is None:
-                    continue
-                if now > worker.deadline:
-                    fail_worker(
-                        worker,
-                        "timeout",
-                        f"task exceeded {self.policy.timeout}s deadline",
-                    )
-        return [results[i] for i in range(len(requests))]
-
-    # -- internals ---------------------------------------------------------
-
-    def _age(self) -> float:
-        return time.monotonic() - self._born
-
-    def _spawn(self) -> None:
-        host, port = self.address
-        proc = spawn_local_worker(host, port)
-        self._spawned_total += 1
-        # The connection arrives asynchronously; the hello frame's pid
-        # pairs it with this proc.
-        self._pending_procs[proc.pid] = proc
-
-    def _respawn_dead(self, work_remains: bool) -> None:
-        """Keep the self-launched pool at its target size."""
-        if self.spawn_target == 0 or not work_remains:
-            return
-        alive = sum(
-            1
-            for w in self._workers
-            if w.proc is not None and w.proc.poll() is None
-        )
-        alive += sum(1 for p in self._pending_procs.values() if p.poll() is None)
-        for _ in range(self.spawn_target - alive):
-            self._spawn()
-            if self._spawned_total > self.spawn_target:
-                self.stats.workers_respawned += 1
-
-    def _accept(self) -> None:
-        while True:
-            try:
-                sock, addr = self._server.accept()
-            except BlockingIOError:
-                return
-            except OSError:
-                return
-            # Blocking socket: select() gates reads, and sendall() must
-            # never leave a partial frame on the wire.
-            sock.setblocking(True)
-            self._workers.append(_Remote(sock=sock, addr=addr))
-
-    def _drain_frames(self, worker: _Remote, register_failure, complete) -> None:
-        """Parse every complete frame in the worker's receive buffer."""
-        while True:
-            if len(worker.buf) < _LEN.size:
-                return
-            (length,) = _LEN.unpack(worker.buf[: _LEN.size])
-            if length > MAX_FRAME:
-                raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME}")
-            if len(worker.buf) < _LEN.size + length:
-                return
-            body = worker.buf[_LEN.size : _LEN.size + length]
-            worker.buf = worker.buf[_LEN.size + length :]
-            msg = json.loads(body.decode())
-            self._handle(worker, msg, register_failure, complete)
-
-    def _handle(self, worker: _Remote, msg: dict, register_failure, complete) -> None:
-        kind = msg.get("type")
-        if kind == "hello":
-            if (
-                msg.get("version") != PROTOCOL_VERSION
-                or msg.get("schema") != CACHE_SCHEMA
-            ):
-                self.protocol_rejects += 1
-                raise ProtocolError(
-                    f"worker speaks protocol {msg.get('version')}/schema "
-                    f"{msg.get('schema')}, need {PROTOCOL_VERSION}/{CACHE_SCHEMA}"
-                )
-            worker.ready = True
-            proc = self._pending_procs.pop(msg.get("pid"), None)
-            if proc is not None:
-                worker.proc = proc
-            return
-        if kind != "result":
-            return
-        index = msg.get("index")
-        if worker.task != index:
-            return  # stale reply from a task this worker was failed off
-        elapsed = time.monotonic() - worker.started
-        worker.task = None
-        worker.deadline = None
-        if msg.get("status") == "ok":
-            result = msg["result"]
-            if not isinstance(result, dict):
-                register_failure(
-                    index, "exception",
-                    f"worker returned a {type(result).__name__}, not a dict",
-                    "", elapsed,
-                )
-                return
-            # JSON round-trips every float bit-exactly (repr-based
-            # shortest form, inf included), so the result document is
-            # byte-identical to a locally evaluated one.
-            complete(index, {str(k): v for k, v in result.items()})
-        else:
-            register_failure(
-                index,
-                "exception",
-                str(msg.get("detail", "worker error")),
-                str(msg.get("digest", "")),
-                elapsed,
-            )
+        return self._sockets
 
 
 __all__ = [

@@ -1,26 +1,36 @@
-"""Supervised task execution: the engine's crash-proof worker pool.
+"""Supervised task execution: one manager loop over two worker pools.
 
 Replaces the fire-and-forget ``multiprocessing.Pool.map`` the engine
 used to fan out with: that model loses *every* completed result in a
 batch when one worker raises, hangs forever on a SIGKILLed worker, and
-cannot retry anything.  :class:`TaskSupervisor` runs a libEnsemble-style
-manager/worker loop instead:
+cannot retry anything.  :meth:`Supervisor.run` is a libEnsemble-style
+manager/worker loop instead, written once and driven over a small
+:class:`WorkerPool` interface with two implementations:
 
-- **per-task dispatch** over a dedicated pipe per worker, so the
-  supervisor always knows which task a worker holds;
-- **crash detection** -- a worker that dies (SIGKILL, segfault, OOM
-  kill) fails only its current task; the supervisor respawns the worker
-  and the task re-enters the queue;
+- the fork pool (:class:`TaskSupervisor`): children of this process, one
+  ``multiprocessing`` pipe each, spawned per run;
+- the socket pool (:class:`~repro.engine.distributed.DistributedSupervisor`):
+  TCP workers on any host, kept across runs.
+
+The loop owns everything that decides *what happens to a task*:
+
+- **per-task dispatch** of ready tasks to idle workers, lowest index
+  first, so the loop always knows which task a worker holds;
+- **crash detection** -- a worker the pool reports lost (SIGKILL,
+  segfault, OOM kill, a malformed frame) fails only its current task;
+  the pool replaces it and the task re-enters the queue.  A task that
+  could not even be handed over requeues *uncharged*;
 - **hang detection** -- a task that exceeds ``policy.timeout`` wall
-  seconds gets its worker killed and is treated as a failed attempt;
+  seconds gets its worker discarded and is treated as a failed attempt;
 - **retry with exponential backoff** via the shared
   :class:`repro.util.retry.RetryPolicy`; a task is not redispatched
   before its backoff expires, but other tasks keep flowing;
 - **quarantine** -- a task that fails ``max_attempts`` times yields a
   structured :class:`EvalFailure` (cause, attempt history, traceback
   digest) instead of an exception that aborts the sweep;
-- **graceful degradation** -- if workers cannot be (re)spawned at all,
-  the remaining tasks run serially in-process (no timeouts, but retries
+- **graceful degradation** -- when the pool reports itself exhausted
+  (no worker left and none coming), the remaining tasks run serially
+  in-process, on the same path as ``jobs=1`` (no timeouts, but retries
   and quarantine still apply).
 
 Completion order is nondeterministic; *results* are not: they are
@@ -31,12 +41,15 @@ serial one no matter which workers died along the way.
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import hashlib
+import heapq
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, ContextManager, Protocol, Sequence
 
 from repro.engine import chaos
 from repro.engine.keys import EvalRequest
@@ -45,9 +58,9 @@ from repro.util.retry import RetryPolicy
 #: Result-dict marker distinguishing quarantined failures from results.
 FAILURE_MARKER = "engine_failure"
 
-#: How long the dispatch loop waits on worker pipes before re-checking
-#: liveness and deadlines (seconds).
-_POLL_S = 0.02
+#: Longest the manager loop blocks waiting on its pool before re-checking
+#: deadlines, backoffs and pool membership (seconds).
+_POLL_S = 0.05
 
 
 def is_failure(result: dict | None) -> bool:
@@ -114,7 +127,11 @@ class EvalFailure:
 
 @dataclass
 class SupervisorStats:
-    """Counters one :meth:`TaskSupervisor.run` call accumulates."""
+    """Counters of one :meth:`Supervisor.run` call.
+
+    Reset at the start of every run, whichever pool it uses: the engine
+    merges each run's counters into its own, so they must be deltas.
+    """
 
     dispatched: int = 0  # task attempts sent to workers (or run inline)
     retries: int = 0  # failed attempts that re-entered the queue
@@ -141,15 +158,220 @@ def _traceback_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _worker_main(conn) -> None:
-    """Worker loop: receive (index, attempt, request), send back outcomes.
+def execute(request: EvalRequest, attempt: int, serial: bool = False) -> tuple[str, Any]:
+    """Run one task attempt: inject chaos, evaluate, report the outcome.
 
-    Messages out are ``(index, "ok", result)`` or ``(index, "error",
-    (detail, traceback_digest))``.  Importing the evaluator registry here
-    covers spawn-mode children; fork-mode children inherit it.
+    The body every worker and the in-process path share.  Returns
+    ``("ok", result)`` or ``("error", (detail, traceback_digest))``.
+    ``evaluate_request`` is looked up on its module at call time, so a
+    substitute installed there reaches every path.  Importing the
+    registry here also covers spawn-mode children.
     """
     import repro.engine.evaluators as evaluators
 
+    try:
+        chaos.maybe_inject(request.key, attempt, serial=serial)
+        return "ok", evaluators.evaluate_request(request)
+    except Exception as err:  # noqa: BLE001 - reported, retried, quarantined
+        return "error", (repr(err), _traceback_digest(traceback.format_exc()))
+
+
+class WorkerPool(Protocol):
+    """The worker processes :meth:`Supervisor.run` hands tasks to.
+
+    A pool only moves tasks and outcomes and manages membership; every
+    decision about a task (charging, retry, quarantine, deadlines) is
+    the loop's.  Workers are opaque hashable handles.  Entering the pool
+    starts a run; leaving it ends the run.
+    """
+
+    def __enter__(self) -> "WorkerPool": ...
+
+    def __exit__(self, *exc: object) -> None: ...
+
+    def workers(self) -> list[Any]:
+        """Workers that may be given a task now, busy ones included."""
+
+    def send(self, worker: Any, index: int, attempt: int, request: EvalRequest) -> None:
+        """Hand task ``index`` to ``worker``; ``OSError`` if undeliverable."""
+
+    def wait(self, timeout: float) -> list[tuple[Any, tuple]]:
+        """Block up to ``timeout`` seconds; return ``(worker, event)`` pairs.
+
+        An event is ``("ok", index, result)``, ``("error", index, (detail,
+        digest))`` or ``("lost", None, detail)`` for a worker that died
+        or broke protocol.
+        """
+
+    def discard(self, worker: Any) -> None:
+        """Stop and forget ``worker`` (lost, overran a deadline, undeliverable)."""
+
+    def refill(self) -> int:
+        """Start replacements for discarded workers; return how many started."""
+
+    def exhausted(self) -> bool:
+        """True when no worker is left and none is coming."""
+
+
+@dataclass(frozen=True)
+class _Running:
+    index: int
+    started: float
+    deadline: float | None
+
+
+class Supervisor:
+    """The manager loop; subclasses only choose the pool it drives."""
+
+    def __init__(self, policy: RetryPolicy | None = None):
+        self.policy = policy or RetryPolicy()
+        self.stats = SupervisorStats()
+
+    def _pool(self, n_tasks: int) -> ContextManager[WorkerPool | None]:
+        """The pool for a run of ``n_tasks`` (None: run in-process)."""
+        raise NotImplementedError
+
+    def run(
+        self,
+        requests: Sequence[EvalRequest],
+        on_complete: Callable[[int, dict | EvalFailure], None] | None = None,
+    ) -> list[dict | EvalFailure]:
+        """Evaluate ``requests``; results align with the input order.
+
+        ``on_complete(index, outcome)`` fires from the supervising
+        process the moment each task finishes (success dict or
+        :class:`EvalFailure`) -- the engine uses it to cache and journal
+        incrementally, so completed work survives any later crash.
+        """
+        self.stats = stats = SupervisorStats()
+        if not requests:
+            return []
+        policy = self.policy
+        history: list[list[TaskAttempt]] = [[] for _ in requests]
+        ready = list(range(len(requests)))  # may start now; sorted
+        backoff: list[tuple[float, int]] = []  # heap of (not_before, index)
+        results: dict[int, dict | EvalFailure] = {}
+        running: dict[Any, _Running] = {}
+
+        def settle(index: int, outcome: dict | EvalFailure) -> None:
+            results[index] = outcome
+            if on_complete is not None:
+                on_complete(index, outcome)
+
+        def charge(index: int, cause: str, detail: str, digest: str,
+                   elapsed: float) -> None:
+            """Record a failed attempt: requeue it after backoff, or quarantine."""
+            attempts = history[index]
+            attempt_no = len(attempts)
+            if cause == "crash":
+                stats.crashes += 1
+            elif cause == "timeout":
+                stats.timeouts += 1
+            else:
+                stats.exceptions += 1
+            final = attempt_no + 1 >= policy.max_attempts
+            pause = 0.0 if final else policy.backoff(attempt_no)
+            attempts.append(
+                TaskAttempt(attempt_no, cause, detail, digest, elapsed, pause)
+            )
+            if final:
+                stats.quarantined += 1
+                settle(index, EvalFailure(
+                    key=requests[index].key,
+                    model=requests[index].model,
+                    cause=cause,
+                    attempts=tuple(attempts),
+                ))
+            else:
+                stats.retries += 1
+                heapq.heappush(backoff, (time.monotonic() + pause, index))
+
+        def report(index: int, status: str, payload: Any, elapsed: float) -> None:
+            if status == "ok":
+                settle(index, payload)
+            else:
+                detail, digest = payload
+                charge(index, "exception", detail, digest, elapsed)
+
+        with self._pool(len(requests)) as pool:
+            while len(results) < len(requests):
+                now = time.monotonic()
+                while backoff and backoff[0][0] <= now:
+                    bisect.insort(ready, heapq.heappop(backoff)[1])
+                if pool is not None and pool.exhausted():
+                    # Nothing is in flight once the pool is empty.
+                    pool, stats.degraded_serial = None, True
+                if pool is None:
+                    if not ready:
+                        time.sleep(backoff[0][0] - now)  # everything backs off
+                        continue
+                    index = ready.pop(0)
+                    stats.dispatched += 1
+                    status, payload = execute(
+                        requests[index], len(history[index]), serial=True
+                    )
+                    report(index, status, payload, time.monotonic() - now)
+                    continue
+
+                # 1. Feed idle workers the ready tasks, lowest index first.
+                for worker in pool.workers():
+                    if not ready:
+                        break
+                    if worker in running:
+                        continue
+                    index = ready[0]
+                    try:
+                        pool.send(worker, index, len(history[index]), requests[index])
+                    except OSError:
+                        # The worker died while idle; the task never
+                        # started, so it stays queued uncharged.
+                        pool.discard(worker)
+                        continue
+                    ready.pop(0)
+                    deadline = None if policy.timeout is None else now + policy.timeout
+                    running[worker] = _Running(index, now, deadline)
+                    stats.dispatched += 1
+
+                # 2. Wait for outcomes, waking for the next deadline or
+                #    backoff expiry.
+                wake = [r.deadline for r in running.values() if r.deadline is not None]
+                if backoff:
+                    wake.append(backoff[0][0])
+                timeout = _POLL_S
+                if wake:
+                    timeout = min(timeout, max(1e-4, min(wake) - now))
+                for worker, (status, index, payload) in pool.wait(timeout):
+                    job = running.pop(worker, None)
+                    if status != "lost" and job is not None and job.index == index:
+                        report(index, status, payload, time.monotonic() - job.started)
+                        continue
+                    # The worker died, or answered a task it does not hold.
+                    pool.discard(worker)
+                    if job is not None:
+                        if status != "lost":
+                            payload = f"reply for task {index} while holding {job.index}"
+                        charge(job.index, "crash", payload, "",
+                               time.monotonic() - job.started)
+
+                # 3. Discard workers whose task overran its deadline.
+                now = time.monotonic()
+                for worker, job in list(running.items()):
+                    if job.deadline is not None and now > job.deadline:
+                        del running[worker]
+                        pool.discard(worker)
+                        charge(job.index, "timeout",
+                               f"task exceeded {policy.timeout}s deadline",
+                               "", now - job.started)
+                stats.workers_respawned += pool.refill()
+        return [results[i] for i in range(len(requests))]
+
+
+# -- the fork pool -----------------------------------------------------------
+
+
+def _worker_main(conn) -> None:
+    """Fork-pool worker: receive ``(index, attempt, request)``, reply with
+    ``(status, index, payload)`` from :func:`execute`, until ``None``."""
     while True:
         try:
             msg = conn.recv()
@@ -158,26 +380,17 @@ def _worker_main(conn) -> None:
         if msg is None:
             return
         index, attempt, request = msg
+        status, payload = execute(request, attempt)
         try:
-            chaos.maybe_inject(request.key, attempt)
-            result = evaluators.evaluate_request(request)
-        except BaseException as err:  # noqa: BLE001 - anything must not kill the loop
-            payload = (repr(err), _traceback_digest(traceback.format_exc()))
-            try:
-                conn.send((index, "error", payload))
-            except (OSError, ValueError):
-                return
-        else:
-            try:
-                conn.send((index, "ok", result))
-            except (OSError, ValueError):
-                return
+            conn.send((status, index, payload))
+        except (OSError, ValueError):
+            return
 
 
 class _Worker:
-    """A supervised child process plus its dispatch pipe and task state."""
+    """A forked child process plus its dispatch pipe."""
 
-    __slots__ = ("proc", "conn", "task", "attempt", "deadline", "started")
+    __slots__ = ("proc", "conn")
 
     def __init__(self, ctx):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -185,26 +398,6 @@ class _Worker:
         self.proc.start()
         child_conn.close()  # parent keeps only its end
         self.conn = parent_conn
-        self.task: int | None = None
-        self.attempt = 0
-        self.deadline: float | None = None
-        self.started = 0.0
-
-    @property
-    def idle(self) -> bool:
-        return self.task is None
-
-    def dispatch(self, index: int, attempt: int, request: EvalRequest,
-                 timeout: float | None) -> None:
-        self.conn.send((index, attempt, request))
-        self.task = index
-        self.attempt = attempt
-        self.started = time.monotonic()
-        self.deadline = self.started + timeout if timeout is not None else None
-
-    def finish(self) -> None:
-        self.task = None
-        self.deadline = None
 
     def kill(self) -> None:
         try:
@@ -233,18 +426,74 @@ class _Worker:
             pass
 
 
-@dataclass
-class _TaskState:
-    request: EvalRequest
-    attempts: list[TaskAttempt] = field(default_factory=list)
-    not_before: float = 0.0  # monotonic time the next attempt may start
+class _ForkPool:
+    """:class:`WorkerPool` of forked children, one pipe each, for one run.
 
-    @property
-    def n_attempts(self) -> int:
-        return len(self.attempts)
+    A child that dies closes its end of the pipe, so its death reads as
+    EOF; a discarded child is replaced once.  A pool that cannot start a
+    single child is exhausted from the outset.
+    """
+
+    def __init__(self, size: int):
+        import multiprocessing as mp
+
+        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        self._ctx = mp.get_context(method)
+        self._workers: list[_Worker] = []
+        self._lost = 0  # discarded since the last refill
+        for _ in range(size):
+            self._spawn()
+
+    def __enter__(self) -> "_ForkPool":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        for worker in self._workers:
+            worker.stop()
+
+    def _spawn(self) -> bool:
+        try:
+            self._workers.append(_Worker(self._ctx))
+        except (OSError, RuntimeError, ValueError):
+            return False
+        return True
+
+    def workers(self) -> list[_Worker]:
+        return list(self._workers)
+
+    def send(self, worker: _Worker, index: int, attempt: int,
+             request: EvalRequest) -> None:
+        worker.conn.send((index, attempt, request))
+
+    def wait(self, timeout: float) -> list[tuple[_Worker, tuple]]:
+        by_conn = {w.conn: w for w in self._workers}
+        events = []
+        for conn in _conn_wait(list(by_conn), timeout=timeout):
+            worker = by_conn[conn]
+            try:
+                events.append((worker, conn.recv()))
+            except (EOFError, OSError):
+                worker.proc.join(timeout=1.0)
+                detail = f"worker died (exit code {worker.proc.exitcode})"
+                events.append((worker, ("lost", None, detail)))
+        return events
+
+    def discard(self, worker: _Worker) -> None:
+        if worker in self._workers:
+            self._workers.remove(worker)
+            worker.kill()
+            self._lost += 1
+
+    def refill(self) -> int:
+        started = sum(self._spawn() for _ in range(self._lost))
+        self._lost = 0
+        return started
+
+    def exhausted(self) -> bool:
+        return not self._workers
 
 
-class TaskSupervisor:
+class TaskSupervisor(Supervisor):
     """Run evaluation requests to completion under a retry policy.
 
     Parameters
@@ -260,259 +509,10 @@ class TaskSupervisor:
     def __init__(self, jobs: int = 1, policy: RetryPolicy | None = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        super().__init__(policy)
         self.jobs = jobs
-        self.policy = policy or RetryPolicy()
-        self.stats = SupervisorStats()
 
-    # -- public ------------------------------------------------------------
-
-    def run(
-        self,
-        requests: Sequence[EvalRequest],
-        on_complete: Callable[[int, dict | EvalFailure], None] | None = None,
-    ) -> list[dict | EvalFailure]:
-        """Evaluate ``requests``; results align with the input order.
-
-        ``on_complete(index, outcome)`` fires from the supervising
-        process the moment each task finishes (success dict or
-        :class:`EvalFailure`) -- the engine uses it to cache and journal
-        incrementally, so completed work survives any later crash.
-        """
-        if not requests:
-            return []
-        if self.jobs == 1 or len(requests) == 1:
-            return self._run_serial(list(requests), on_complete, range(len(requests)))
-        return self._run_supervised(list(requests), on_complete)
-
-    # -- parallel path -----------------------------------------------------
-
-    def _run_supervised(
-        self,
-        requests: list[EvalRequest],
-        on_complete: Callable[[int, dict | EvalFailure], None] | None,
-    ) -> list[dict | EvalFailure]:
-        import multiprocessing as mp
-
-        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        ctx = mp.get_context(method)
-
-        results: dict[int, dict | EvalFailure] = {}
-        tasks = {i: _TaskState(r) for i, r in enumerate(requests)}
-        pending: list[int] = sorted(tasks)  # dispatch in index order
-        workers: list[_Worker] = []
-
-        def complete(index: int, outcome: dict | EvalFailure) -> None:
-            results[index] = outcome
-            if on_complete is not None:
-                on_complete(index, outcome)
-
-        def register_failure(index: int, cause: str, detail: str,
-                             digest: str, elapsed: float) -> None:
-            state = tasks[index]
-            attempt_no = state.n_attempts
-            if cause == "crash":
-                self.stats.crashes += 1
-            elif cause == "timeout":
-                self.stats.timeouts += 1
-            else:
-                self.stats.exceptions += 1
-            if attempt_no + 1 >= self.policy.max_attempts:
-                state.attempts.append(TaskAttempt(
-                    attempt_no, cause, detail, digest, elapsed, backoff=0.0))
-                failure = EvalFailure(
-                    key=state.request.key,
-                    model=state.request.model,
-                    cause=cause,
-                    attempts=tuple(state.attempts),
-                )
-                self.stats.quarantined += 1
-                complete(index, failure)
-            else:
-                backoff = self.policy.backoff(attempt_no)
-                state.attempts.append(TaskAttempt(
-                    attempt_no, cause, detail, digest, elapsed, backoff))
-                state.not_before = time.monotonic() + backoff
-                self.stats.retries += 1
-                pending.append(index)
-                pending.sort()  # keep deterministic-ish dispatch order
-
-        def spawn() -> _Worker | None:
-            try:
-                worker = _Worker(ctx)
-            except (OSError, RuntimeError, ValueError):
-                return None
-            return worker
-
-        try:
-            for _ in range(min(self.jobs, len(requests))):
-                worker = spawn()
-                if worker is None:
-                    break
-                workers.append(worker)
-            if not workers:
-                # Could not start a single worker: the pool is gone before
-                # it existed.  Run everything in-process instead.
-                self.stats.degraded_serial = True
-                remaining = [i for i in pending if i not in results]
-                self._run_serial(requests, on_complete, remaining,
-                                 results=results, tasks=tasks)
-                return [results[i] for i in range(len(requests))]
-
-            while len(results) < len(requests):
-                now = time.monotonic()
-                # 1. Feed idle workers every ready task.
-                ready = [i for i in pending if tasks[i].not_before <= now]
-                for worker in workers:
-                    if not ready:
-                        break
-                    if worker.idle:
-                        index = ready.pop(0)
-                        pending.remove(index)
-                        worker.dispatch(
-                            index, tasks[index].n_attempts,
-                            tasks[index].request, self.policy.timeout,
-                        )
-                        self.stats.dispatched += 1
-
-                busy = [w for w in workers if not w.idle]
-                if not busy:
-                    if pending:
-                        # Everything is backing off; sleep to the earliest.
-                        wake = min(tasks[i].not_before for i in pending)
-                        time.sleep(max(0.0, min(wake - now, 1.0)) or 1e-4)
-                        continue
-                    break  # nothing pending, nothing busy: done
-
-                # 2. Wait for any outcome (bounded so liveness checks run).
-                timeout = _POLL_S
-                deadlines = [w.deadline for w in busy if w.deadline is not None]
-                if deadlines:
-                    timeout = min(timeout, max(1e-4, min(deadlines) - now))
-                for conn in _conn_wait([w.conn for w in busy], timeout=timeout):
-                    worker = next(w for w in busy if w.conn is conn)
-                    try:
-                        index, status, payload = worker.conn.recv()
-                    except (EOFError, OSError):
-                        continue  # died mid-send: the liveness check handles it
-                    if worker.task != index:
-                        continue  # stale reply from a task we already failed
-                    elapsed = time.monotonic() - worker.started
-                    worker.finish()
-                    if status == "ok":
-                        complete(index, payload)
-                    else:
-                        detail, digest = payload
-                        register_failure(index, "exception", detail, digest, elapsed)
-
-                # 3. Liveness and deadline supervision.
-                now = time.monotonic()
-                for worker in list(workers):
-                    if worker.idle:
-                        continue
-                    crashed = not worker.proc.is_alive()
-                    timed_out = worker.deadline is not None and now > worker.deadline
-                    if not crashed and not timed_out:
-                        continue
-                    index = worker.task
-                    elapsed = now - worker.started
-                    worker.finish()
-                    worker.kill()
-                    workers.remove(worker)
-                    if crashed:
-                        register_failure(
-                            index, "crash",
-                            f"worker died (exit code {worker.proc.exitcode})",
-                            "", elapsed,
-                        )
-                    else:
-                        register_failure(
-                            index, "timeout",
-                            f"task exceeded {self.policy.timeout}s deadline",
-                            "", elapsed,
-                        )
-                    replacement = spawn()
-                    if replacement is not None:
-                        workers.append(replacement)
-                        self.stats.workers_respawned += 1
-
-                if not workers and len(results) < len(requests):
-                    # The pool died and could not be respawned: degrade to
-                    # serial in-process execution for whatever remains.
-                    self.stats.degraded_serial = True
-                    remaining = [i for i in pending if i not in results]
-                    pending.clear()
-                    self._run_serial(requests, on_complete, remaining,
-                                     results=results, tasks=tasks)
-        finally:
-            for worker in workers:
-                worker.stop()
-        return [results[i] for i in range(len(requests))]
-
-    # -- serial path ---------------------------------------------------------
-
-    def _run_serial(
-        self,
-        requests: list[EvalRequest],
-        on_complete: Callable[[int, dict | EvalFailure], None] | None,
-        indices,
-        results: dict[int, dict | EvalFailure] | None = None,
-        tasks: dict[int, _TaskState] | None = None,
-    ) -> list[dict | EvalFailure]:
-        """In-process execution with retries and quarantine (no deadlines)."""
-        import repro.engine.evaluators as evaluators
-
-        out = results if results is not None else {}
-        for index in indices:
-            state = tasks[index] if tasks is not None else _TaskState(requests[index])
-            while True:
-                attempt_no = state.n_attempts
-                t0 = time.monotonic()
-                try:
-                    self.stats.dispatched += 1
-                    chaos.maybe_inject(state.request.key, attempt_no, serial=True)
-                    result = evaluators.evaluate_request(state.request)
-                except Exception as err:
-                    elapsed = time.monotonic() - t0
-                    digest = _traceback_digest(traceback.format_exc())
-                    self.stats.exceptions += 1
-                    if attempt_no + 1 >= self.policy.max_attempts:
-                        state.attempts.append(TaskAttempt(
-                            attempt_no, "exception", repr(err), digest,
-                            elapsed, backoff=0.0))
-                        failure = EvalFailure(
-                            key=state.request.key,
-                            model=state.request.model,
-                            cause="exception",
-                            attempts=tuple(state.attempts),
-                        )
-                        self.stats.quarantined += 1
-                        out[index] = failure
-                        if on_complete is not None:
-                            on_complete(index, failure)
-                        break
-                    backoff = self.policy.backoff(attempt_no)
-                    state.attempts.append(TaskAttempt(
-                        attempt_no, "exception", repr(err), digest,
-                        elapsed, backoff))
-                    self.stats.retries += 1
-                    if backoff > 0:
-                        time.sleep(backoff)
-                else:
-                    out[index] = result
-                    if on_complete is not None:
-                        on_complete(index, result)
-                    break
-        if results is not None:
-            return []
-        return [out[i] for i in sorted(out)]
-
-
-def evaluate_supervised(
-    requests: Sequence[EvalRequest],
-    jobs: int = 1,
-    policy: RetryPolicy | None = None,
-    on_complete: Callable[[int, dict | EvalFailure], None] | None = None,
-) -> tuple[list[Any], SupervisorStats]:
-    """One-shot convenience wrapper: run, return (results, stats)."""
-    sup = TaskSupervisor(jobs=jobs, policy=policy)
-    return sup.run(requests, on_complete=on_complete), sup.stats
+    def _pool(self, n_tasks: int) -> ContextManager[WorkerPool | None]:
+        if self.jobs == 1 or n_tasks == 1:
+            return contextlib.nullcontext()
+        return _ForkPool(min(self.jobs, n_tasks))

@@ -14,6 +14,7 @@ import json
 import os
 import signal
 import socket
+import struct
 import threading
 
 import pytest
@@ -29,11 +30,14 @@ from repro.engine import (
 )
 from repro.engine.distributed import (
     MAX_FRAME,
+    PROTOCOL_VERSION,
     ProtocolError,
     recv_frame,
     send_frame,
 )
+from repro.engine.evaluators import evaluate_request
 from repro.engine.journal import JOURNAL_NAME
+from repro.engine.keys import CACHE_SCHEMA
 from repro.faults.model import FaultSchedule, FaultSpec
 from repro.topology.machines import generic_cluster
 
@@ -231,3 +235,68 @@ class TestDistributedDeterminism:
             results = engine.evaluate_many(requests)
             assert disp.stats.degraded_serial
         assert results == SweepEngine(jobs=1).evaluate_many(requests)
+
+
+def _fake_worker(address, reply: bytes) -> threading.Thread:
+    """A worker that says a valid hello, takes one task and answers it
+    with the raw frame body ``reply``; returns once the manager hangs up."""
+    sock = socket.create_connection(address, timeout=30.0)
+    sock.settimeout(None)  # only the manager may end the conversation
+    send_frame(sock, {"type": "hello", "version": PROTOCOL_VERSION,
+                      "schema": CACHE_SCHEMA, "pid": -1, "host": "fake"})
+
+    def serve():
+        with sock:
+            try:
+                if recv_frame(sock) is not None:
+                    sock.sendall(struct.pack(">I", len(reply)) + reply)
+                    while sock.recv(1 << 16):
+                        pass
+            except OSError:
+                pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestPoolMembership:
+    """Faults of single connections must cost a task attempt at most,
+    never the run: the pool drops the connection and the run finishes."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"{not json",
+            b"[1, 2]",
+            b"\xff\xfe not utf-8",
+            b'{"type": "result", "status": "ok", "result": {}}',
+            b'{"type": "result", "index": "0", "status": "ok", "result": {}}',
+        ],
+        ids=["not-json", "not-object", "not-utf8", "no-index", "str-index"],
+    )
+    def test_malformed_frame_is_a_worker_crash(self, reply, run_within):
+        requests = _requests(radices=(2, 2), models=("logp",))[:1]
+        with DistributedSupervisor(spawn=0, worker_wait=0.5) as disp:
+            fake = _fake_worker(disp.address, reply)
+            results = run_within(disp, requests, seconds=20.0)
+            stats = disp.stats
+            fake.join(timeout=10.0)
+            assert not fake.is_alive()  # the manager dropped the connection
+        assert results == [evaluate_request(requests[0])]
+        assert stats.crashes == 1
+        assert stats.degraded_serial
+
+    def test_silent_connection_does_not_wedge_the_run(self, run_within):
+        """A connection that never says hello is not a worker: the pool
+        stays empty, so the run degrades after ``worker_wait``."""
+        requests = _requests(radices=(2, 2), models=("logp",))
+        with DistributedSupervisor(
+            spawn=0, min_workers=1, worker_wait=0.2
+        ) as disp:
+            silent = socket.create_connection(disp.address, timeout=30.0)
+            with silent:
+                results = run_within(disp, requests)
+                assert disp.stats.degraded_serial
+                assert disp.n_connected == 0
+        assert results == [evaluate_request(r) for r in requests]
