@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from repro.bench.report import assert_checks, check, print_checks
-from repro.bench.sweeps import workload_sweep
+from repro.bench.sweeps import sweep
 from repro.engine import SweepEngine
 from repro.ir import validate_program
 from repro.topology.machines import generic_cluster
@@ -67,15 +67,15 @@ def test_dnn_step_scales_to_1024_ranks(once):
         t_lower = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        serial = workload_sweep(
-            topology, hierarchy, "dnn", params=dict(PARAMS),
+        serial = sweep(
+            topology, hierarchy, workload="dnn", workload_params=dict(PARAMS),
             engine=SweepEngine(jobs=1), backend="logp",
         )
         t_serial = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        parallel = workload_sweep(
-            topology, hierarchy, "dnn", params=dict(PARAMS),
+        parallel = sweep(
+            topology, hierarchy, workload="dnn", workload_params=dict(PARAMS),
             engine=SweepEngine(jobs=2), backend="logp",
         )
         t_parallel = time.perf_counter() - t0

@@ -14,13 +14,12 @@ from typing import Sequence
 
 from repro.apps.nascg.parallel import CGRun, perfect_scaling_reference, strong_scaling
 from repro.apps.splatt.parallel import CPDRun, reordering_study
-from repro.bench.microbench import MicrobenchSeries, paper_sizes, size_sweep
+from repro.bench.microbench import MicrobenchSeries, paper_sizes
 from repro.core.hierarchy import Hierarchy
 from repro.core.mixed_radix import MixedRadix
-from repro.core.orders import all_orders
+from repro.core.orders import all_orders, format_order
 from repro.core.reorder import RankReordering
 from repro.launcher.slurm import order_to_distribution
-from repro.netsim.fabric import Fabric
 from repro.profiling.correlation import pearson
 from repro.topology.machines import hydra, lumi, lumi_node
 
@@ -102,67 +101,34 @@ def _sweep_figure(
     topology, hierarchy, orders, comm_size, collective, sizes, algorithm=None,
     engine=None, backend="round", batch=False,
 ) -> list[MicrobenchSeries]:
-    """Evaluate one figure's (order x size) grid.
+    """Evaluate one figure's (order x size) grid as one collective sweep.
 
-    With an engine the grid runs as one :class:`~repro.engine.EvalRequest`
-    batch -- memoized, equivalence-pruned, and fanned out over the
-    engine's worker pool; without one it falls back to the serial
-    :func:`~repro.bench.microbench.size_sweep` path.  Both produce
-    identical series.  ``backend`` names the execution backend for every
-    grid point (``round`` reproduces the paper figures bit-identically;
-    ``logp`` trades absolute fidelity for speed; ``des`` replays every
-    point on the flow-level simulator).  ``batch`` routes the grid
-    through the engine's vectorized evaluators (bitwise identical; a
-    private serial engine is created when none was passed).
+    The grid runs through :func:`~repro.bench.sweeps.sweep` on ``engine``
+    (a private serial one when none is passed) -- memoized,
+    equivalence-pruned, and fanned out over the engine's worker pool.
+    ``backend`` names the execution backend for every grid point
+    (``round`` reproduces the paper figures bit-identically; ``logp``
+    trades absolute fidelity for speed; ``des`` replays every point on
+    the flow-level simulator).  ``batch`` routes the grid through the
+    engine's vectorized evaluators (bitwise identical).
     """
-    from repro.collectives.selector import select_algorithm
-    from repro.ir import backend_names
-
-    if backend not in backend_names():
-        raise ValueError(
-            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
-        )
-    if engine is None and batch:
-        from repro.engine import SweepEngine
-
-        engine = SweepEngine()
-    if engine is None:
-        fabric = Fabric(topology) if backend == "round" else None
-        return [
-            size_sweep(
-                topology, hierarchy, order, comm_size, collective, sizes,
-                algorithm=algorithm, fabric=fabric, backend=backend,
-            )
-            for order in orders
-        ]
     from repro.bench.microbench import MicrobenchPoint
+    from repro.bench.sweeps import sweep
+    from repro.collectives.selector import select_algorithm
     from repro.core.metrics import signature
-    from repro.engine import EvalRequest
 
     orders = [tuple(order) for order in orders]
     sizes = list(sizes)
-    grid = [(order, s) for order in orders for s in sizes]
-    extras = (("des_all", True),) if backend == "des" else ()
-    evaluate = engine.evaluate_batch if batch else engine.evaluate_many
-    results = evaluate(
-        [
-            EvalRequest(
-                model=backend,
-                topology=topology,
-                hierarchy=hierarchy,
-                order=order,
-                comm_size=comm_size,
-                collective=collective,
-                algorithm=algorithm,
-                total_bytes=s,
-                extras=extras,
-            )
-            for order, s in grid
-        ]
+    records = sweep(
+        topology, hierarchy, [comm_size], collectives=[collective],
+        sizes=sizes, orders=orders, algorithm=algorithm, engine=engine,
+        backend=backend, batch=batch,
     )
     points = {
-        (order, s): MicrobenchPoint(s, out["duration_single"], out["duration_all"])
-        for (order, s), out in zip(grid, results)
+        (rec.order, rec.total_bytes): MicrobenchPoint(
+            rec.total_bytes, rec.duration_single, rec.duration_all
+        )
+        for rec in records
     }
     algo_label = algorithm or "+".join(
         sorted({select_algorithm(collective, comm_size, s) for s in sizes})
@@ -175,7 +141,7 @@ def _sweep_figure(
             algorithm=algo_label,
             comm_size=comm_size,
             n_comms=hierarchy.size // comm_size,
-            points=tuple(points[order, s] for s in sizes),
+            points=tuple(points[format_order(order), s] for s in sizes),
         )
         for order in orders
     ]

@@ -2,9 +2,9 @@
 
 The figure generators are fixed to the paper's configurations; this module
 is the open-ended counterpart for downstream users: sweep any subset of
-{order, communicator size, collective, algorithm, data size, machine} on
-the fast model and collect tidy records suitable for CSV export or
-further analysis.
+{order, communicator size, collective, algorithm, data size, machine} --
+or any registered workload -- and collect tidy records suitable for CSV
+export or further analysis.
 
 All sweeps run through :class:`repro.engine.SweepEngine`: every grid
 point becomes a content-addressed :class:`~repro.engine.EvalRequest`, so
@@ -25,12 +25,13 @@ from repro.core.hierarchy import Hierarchy
 from repro.core.metrics import signature
 from repro.core.orders import Order, all_orders, format_order
 from repro.engine import EvalRequest, SweepEngine, is_failure
+from repro.engine.keys import collective_params, protocol_request
 from repro.topology.machine import MachineTopology
 
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One measurement of the sweep grid."""
+    """One measurement of a collective sweep grid."""
 
     machine: str
     order: str
@@ -46,12 +47,132 @@ class SweepRecord:
     bandwidth_all: float
 
 
+@dataclass(frozen=True)
+class WorkloadRecord:
+    """One (order, workload) measurement of a workload sweep."""
+
+    machine: str
+    order: str
+    ring_cost: int
+    workload: str
+    label: str
+    comm_size: int
+    n_comms: int
+    total_bytes: float
+    duration_single: float
+    duration_all: float
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """One protocol point of the grid, independent of the order."""
+
+    comm_size: int
+    total_bytes: float
+    workload: str
+    params: tuple
+    #: Collective grids: the collective and its resolved algorithm;
+    #: workload grids: the lowered program's label.
+    collective: str | None = None
+    algorithm: str | None = None
+    label: str | None = None
+
+
+def _grid(
+    topology: MachineTopology,
+    hierarchy: Hierarchy,
+    backend: str,
+    comm_sizes: Sequence[int] | None = None,
+    collectives: Sequence[str] | None = None,
+    sizes: Sequence[float] | None = None,
+    algorithm: str | None = None,
+    workload: str | None = None,
+    workload_params: dict | None = None,
+    scenario: str = "all",
+) -> list[list[_Cell]]:
+    """Validate a sweep query and lower it to blocks of protocol cells.
+
+    A collective grid yields one block per communicator size, holding
+    its ``collectives x sizes`` cells in nested-loop order; a workload
+    grid yields one block with the workload's single cell, its
+    communicator size and traffic volume read from the lowered program.
+    Unknown workload names raise
+    :class:`~repro.workloads.UnknownWorkloadError` before any request
+    is issued.
+    """
+    from repro.collectives.selector import select_algorithm
+    from repro.ir import backend_names
+    from repro.workloads import canonical_params, lower_workload
+
+    if backend not in backend_names():
+        raise ValueError(
+            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
+        )
+    if scenario not in ("all", "single"):
+        raise ValueError("scenario must be 'all' or 'single'")
+    hierarchy.check_process_count(topology.n_cores)
+    if workload is not None:
+        given = dict(
+            comm_sizes=comm_sizes, collectives=collectives, sizes=sizes,
+            algorithm=algorithm,
+        )
+        named = [name for name, value in given.items() if value is not None]
+        if named:
+            raise ValueError(
+                f"workload sweeps must not name {named}: the lowered "
+                "workload defines the communicator size and traffic volume"
+            )
+        params = canonical_params(workload, workload_params or {})
+        program = lower_workload(workload, params)
+        n_ranks = program.n_ranks
+        if hierarchy.size % n_ranks:
+            raise ValueError(
+                f"workload {workload!r} needs {n_ranks} ranks, which does not "
+                f"divide the machine's {hierarchy.size} processes"
+            )
+        total = program.meta.total_bytes
+        if total is None:
+            total = program.total_bytes
+        label = program.meta.label or workload
+        return [[_Cell(n_ranks, float(total), workload, params, label=label)]]
+    if comm_sizes is None:
+        raise ValueError("comm_sizes is required (or name a workload instead)")
+    collectives = ("alltoall",) if collectives is None else collectives
+    sizes = (1e6, 64e6) if sizes is None else sizes
+    blocks: list[list[_Cell]] = []
+    for comm_size in comm_sizes:
+        if hierarchy.size % comm_size:
+            raise ValueError(
+                f"comm size {comm_size} does not divide {hierarchy.size}"
+            )
+        blocks.append(
+            [
+                _Cell(
+                    comm_size, total, "collective",
+                    collective_params(collective, comm_size, total, algorithm),
+                    collective=collective,
+                    algorithm=algorithm or select_algorithm(collective, comm_size, total),
+                )
+                for collective in collectives
+                for total in sizes
+            ]
+        )
+    return blocks
+
+
+def _cell_request(model, topology, hierarchy, order, cell: _Cell):
+    return protocol_request(
+        model, topology, hierarchy, order, cell.comm_size, cell.workload,
+        cell.params,
+    )
+
+
 def sweep(
     topology: MachineTopology,
     hierarchy: Hierarchy,
-    comm_sizes: Sequence[int],
-    collectives: Sequence[str] = ("alltoall",),
-    sizes: Sequence[float] = (1e6, 64e6),
+    comm_sizes: Sequence[int] | None = None,
+    collectives: Sequence[str] | None = None,
+    sizes: Sequence[float] | None = None,
     orders: Sequence[Order] | None = None,
     algorithm: str | None = None,
     engine: SweepEngine | None = None,
@@ -60,100 +181,93 @@ def sweep(
     prune: bool = True,
     backend: str = "round",
     batch: bool = False,
-) -> list[SweepRecord]:
-    """Evaluate the full cross product; returns one record per point.
+    workload: str | None = None,
+    workload_params: dict | None = None,
+) -> list[SweepRecord] | list[WorkloadRecord]:
+    """Evaluate every order on every protocol point; one record each.
 
-    The grid is materialized as engine requests and evaluated in one
-    batch, so memoization, equivalence pruning, and the worker pool all
-    apply; record order matches the serial nested-loop order exactly.
+    A collective grid crosses ``comm_sizes x collectives x sizes``
+    (defaults: alltoall at 1 MB and 64 MB) and yields
+    :class:`SweepRecord` rows; naming a registered ``workload`` (with
+    ``workload_params``) scores that one lowered program instead and
+    yields :class:`WorkloadRecord` rows.  Its rank count is the
+    communicator size, so the ``all`` scenario runs
+    ``hierarchy.size // n_ranks`` concurrent instances.  Both shapes
+    issue the same requests: a collective is the ``collective``
+    workload, so the two spellings of one point share a cache record.
 
-    ``backend`` selects the execution backend per point: ``round`` (the
-    default, bit-identical to pre-IR sweeps), ``logp`` (fast advisory
-    rankings) or ``des`` (exact flow simulation; the all-communicators
-    scenario is simulated too, so expect DES-scale runtimes).
-
-    ``batch`` routes the grid through the vectorized batch evaluators
-    (:meth:`~repro.engine.core.SweepEngine.evaluate_batch`): ``round``
-    and ``logp`` points are scored as stacked array passes in-process,
+    The grid runs as one engine batch, so memoization, equivalence
+    pruning, and the worker pool all apply; record order is the nested
+    loop ``comm size -> order -> collective -> size``.  ``backend``
+    selects the execution backend: ``round`` (the default), ``logp``
+    (fast advisory rankings) or ``des`` (exact flow simulation; the
+    all-communicators scenario is simulated too, so expect DES-scale
+    runtimes).  ``batch`` routes the grid through the vectorized batch
+    evaluators (:meth:`~repro.engine.core.SweepEngine.evaluate_batch`),
     bitwise identical to the scalar path and hitting the same cache
-    keys; other models transparently fall back to the worker pool.
+    keys; models without one fall back to the worker pool.
     """
-    from repro.collectives.selector import select_algorithm
-    from repro.ir import backend_names
-
-    if backend not in backend_names():
-        raise ValueError(
-            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
-        )
-    hierarchy.check_process_count(topology.n_cores)
+    blocks = _grid(
+        topology, hierarchy, backend, comm_sizes, collectives, sizes,
+        algorithm, workload, workload_params,
+    )
     engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir, prune=prune)
     if orders is None:
         orders = all_orders(hierarchy.depth)
-    grid: list[tuple[int, Order, str, float]] = []
-    for comm_size in comm_sizes:
-        if hierarchy.size % comm_size:
-            raise ValueError(
-                f"comm size {comm_size} does not divide {hierarchy.size}"
-            )
-        for order in orders:
-            for collective in collectives:
-                for total in sizes:
-                    grid.append((comm_size, tuple(order), collective, total))
-    extras = (("des_all", True),) if backend == "des" else ()
+    orders = [tuple(order) for order in orders]
+    grid = [(order, cell) for block in blocks for order in orders for cell in block]
     evaluate = engine.evaluate_batch if batch else engine.evaluate_many
     results = evaluate(
         [
-            EvalRequest(
-                model=backend,
-                topology=topology,
-                hierarchy=hierarchy,
-                order=order,
-                comm_size=comm_size,
-                collective=collective,
-                algorithm=algorithm,
-                total_bytes=total,
-                extras=extras,
-            )
-            for comm_size, order, collective, total in grid
+            _cell_request(backend, topology, hierarchy, order, cell)
+            for order, cell in grid
         ]
     )
     sigs = {
-        (comm_size, order): signature(hierarchy, order, comm_size)
-        for comm_size, order in {(c, o) for c, o, _, _ in grid}
+        key: signature(hierarchy, *key)
+        for key in {(order, cell.comm_size) for order, cell in grid}
     }
-    records: list[SweepRecord] = []
-    for (comm_size, order, collective, total), point in zip(grid, results):
+    records: list = []
+    for (order, cell), point in zip(grid, results):
         if is_failure(point):
             # Quarantined grid point: the engine retried and gave up.  The
             # point is salvaged as a structured failure on engine.failures
             # (and never cached, so a re-run retries it); every completed
             # record below is still returned.
             continue
-        records.append(
-            SweepRecord(
-                machine=topology.name,
-                order=format_order(order),
-                ring_cost=sigs[comm_size, order].ring_cost,
-                comm_size=comm_size,
-                n_comms=hierarchy.size // comm_size,
-                collective=collective,
-                algorithm=algorithm
-                or select_algorithm(collective, comm_size, total),
-                total_bytes=total,
-                duration_single=point["duration_single"],
-                duration_all=point["duration_all"],
-                bandwidth_single=total / point["duration_single"],
-                bandwidth_all=total / point["duration_all"],
-            )
+        single, both = point["duration_single"], point["duration_all"]
+        common = dict(
+            machine=topology.name,
+            order=format_order(order),
+            ring_cost=sigs[order, cell.comm_size].ring_cost,
+            comm_size=cell.comm_size,
+            n_comms=hierarchy.size // cell.comm_size,
+            total_bytes=cell.total_bytes,
+            duration_single=single,
+            duration_all=both,
         )
+        if workload is not None:
+            records.append(
+                WorkloadRecord(workload=workload, label=cell.label, **common)
+            )
+        else:
+            records.append(
+                SweepRecord(
+                    collective=cell.collective,
+                    algorithm=cell.algorithm,
+                    bandwidth_single=cell.total_bytes / single,
+                    bandwidth_all=cell.total_bytes / both,
+                    **common,
+                )
+            )
     return records
 
 
 def top_k_records(
-    records: Sequence[SweepRecord],
+    records: Sequence,
     k: int,
     scenario: str = "all",
-) -> list[SweepRecord]:
+) -> list:
     """The records of the ``k`` fastest orders, rank-major.
 
     An order's rank score is its summed duration across every grid cell
@@ -164,12 +278,12 @@ def top_k_records(
     """
     key_attr = "duration_all" if scenario == "all" else "duration_single"
     totals: dict[str, float] = {}
-    groups: dict[str, list[SweepRecord]] = {}
+    groups: dict[str, list] = {}
     for rec in records:
         totals[rec.order] = totals.get(rec.order, 0.0) + getattr(rec, key_attr)
         groups.setdefault(rec.order, []).append(rec)
     ranked = sorted(totals, key=lambda o: (totals[o], o))[:k]
-    out: list[SweepRecord] = []
+    out: list = []
     for order in ranked:
         out.extend(groups[order])
     return out
@@ -178,9 +292,9 @@ def top_k_records(
 def ladder_sweep(
     topology: MachineTopology,
     hierarchy: Hierarchy,
-    comm_sizes: Sequence[int],
-    collectives: Sequence[str] = ("alltoall",),
-    sizes: Sequence[float] = (1e6, 64e6),
+    comm_sizes: Sequence[int] | None = None,
+    collectives: Sequence[str] | None = None,
+    sizes: Sequence[float] | None = None,
     orders: Sequence[Order] | None = None,
     algorithm: str | None = None,
     engine: SweepEngine | None = None,
@@ -196,6 +310,8 @@ def ladder_sweep(
     seed: int = 0,
     batch: bool | None = None,
     exhaustive_audit: bool = False,
+    workload: str | None = None,
+    workload_params: dict | None = None,
 ):
     """Multi-fidelity order search over the sweep grid.
 
@@ -205,10 +321,12 @@ def ladder_sweep(
     on the free analytic metric first, survivors promoted through
     progressively costlier models until ``backend`` ranks the finalists.
     A candidate's score at any rung is its summed scenario duration over
-    the full ``comm_sizes x collectives x sizes`` grid -- exactly the
-    aggregation :func:`top_k_records` applies to plain sweep output, and
-    the engine requests carry the same content keys :func:`sweep`
-    issues, so ladder and sweep share every cache record.
+    the grid :func:`sweep` would evaluate for the same arguments
+    (collective or ``workload``) -- exactly the aggregation
+    :func:`top_k_records` applies to plain sweep output -- and the
+    engine requests carry the same content keys, so ladder and sweep
+    share every cache record.  The metric rung sums the analytic proxy
+    over the grid's distinct ``(comm size, traffic volume)`` pairs.
 
     Returns ``(records, result)``: the finalists' sweep records trimmed
     to the ``top_k`` fastest orders (rank-major, byte-comparable to
@@ -229,20 +347,11 @@ def ladder_sweep(
         analytic_order_score,
         default_rungs,
     )
-    from repro.ir import backend_names
 
-    if backend not in backend_names():
-        raise ValueError(
-            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
-        )
-    if scenario not in ("all", "single"):
-        raise ValueError("scenario must be 'all' or 'single'")
-    hierarchy.check_process_count(topology.n_cores)
-    for comm_size in comm_sizes:
-        if hierarchy.size % comm_size:
-            raise ValueError(
-                f"comm size {comm_size} does not divide {hierarchy.size}"
-            )
+    blocks = _grid(
+        topology, hierarchy, backend, comm_sizes, collectives, sizes,
+        algorithm, workload, workload_params, scenario=scenario,
+    )
     engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir)
     if orders is None:
         orders = all_orders(hierarchy.depth)
@@ -262,34 +371,19 @@ def ladder_sweep(
             f"{backend!r}: the finalists' records are materialized at the "
             "sweep backend's fidelity"
         )
+    cells = [cell for block in blocks for cell in block]
+    volumes = list(dict.fromkeys((c.comm_size, c.total_bytes) for c in cells))
 
     def requests_for(model: str, order: Order) -> list[EvalRequest]:
-        # One candidate's grid, in sweep()'s nested-loop shape and with
-        # sweep()'s extras, so the content keys are shared with plain
-        # full-fidelity sweeps over the same space.
-        extras = (("des_all", True),) if model == "des" else ()
         return [
-            EvalRequest(
-                model=model,
-                topology=topology,
-                hierarchy=hierarchy,
-                order=order,
-                comm_size=comm_size,
-                collective=collective,
-                algorithm=algorithm,
-                total_bytes=total,
-                extras=extras,
-            )
-            for comm_size in comm_sizes
-            for collective in collectives
-            for total in sizes
+            _cell_request(model, topology, hierarchy, order, cell)
+            for cell in cells
         ]
 
     def metric_score(order: Order) -> float:
         return sum(
             analytic_order_score(topology, hierarchy, order, comm_size, total)
-            for comm_size in comm_sizes
-            for total in sizes
+            for comm_size, total in volumes
         )
 
     ladder = FidelityLadder(engine, config, batch=batch)
@@ -312,6 +406,8 @@ def ladder_sweep(
         engine=engine,
         backend=backend,
         batch=ladder.batch,
+        workload=workload,
+        workload_params=workload_params,
     )
     return top_k_records(records, top_k, scenario), result
 
@@ -340,234 +436,6 @@ def best_per_group(
         if key not in best or getattr(rec, key_attr) < getattr(best[key], key_attr):
             best[key] = rec
     return best
-
-
-# -- workload sweeps ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WorkloadRecord:
-    """One (order, workload) measurement of a workload sweep."""
-
-    machine: str
-    order: str
-    ring_cost: int
-    workload: str
-    label: str
-    comm_size: int
-    n_comms: int
-    total_bytes: float
-    duration_single: float
-    duration_all: float
-
-
-def workload_sweep(
-    topology: MachineTopology,
-    hierarchy: Hierarchy,
-    workload: str,
-    params: dict | None = None,
-    orders: Sequence[Order] | None = None,
-    engine: SweepEngine | None = None,
-    jobs: int = 1,
-    cache_dir=None,
-    prune: bool = True,
-    backend: str = "round",
-    batch: bool = False,
-) -> list[WorkloadRecord]:
-    """Score every enumeration order against one lowered workload.
-
-    The workload is lowered once through the registry (validated and
-    memoized); its rank count is the communicator size, so the protocol's
-    ``n_comms = hierarchy.size // n_ranks`` concurrent instances measure
-    the ``all`` scenario.  Unknown workload names raise
-    :class:`~repro.workloads.UnknownWorkloadError` (naming the registered
-    set) before any request is issued.  Points run through the same
-    engine plumbing as :func:`sweep` -- memoization, equivalence pruning,
-    worker fan-out, and the vectorized ``batch`` path all apply.
-    """
-    from repro.ir import backend_names
-    from repro.workloads import canonical_params, lower_workload
-
-    if backend not in backend_names():
-        raise ValueError(
-            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
-        )
-    hierarchy.check_process_count(topology.n_cores)
-    wl_params = canonical_params(workload, params or {})
-    program = lower_workload(workload, dict(wl_params))
-    n_ranks = program.n_ranks
-    if hierarchy.size % n_ranks:
-        raise ValueError(
-            f"workload {workload!r} needs {n_ranks} ranks, which does not "
-            f"divide the machine's {hierarchy.size} processes"
-        )
-    total = program.meta.total_bytes
-    if total is None:
-        total = program.total_bytes
-    engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir, prune=prune)
-    if orders is None:
-        orders = all_orders(hierarchy.depth)
-    orders = [tuple(order) for order in orders]
-    extras = (("des_all", True),) if backend == "des" else ()
-    evaluate = engine.evaluate_batch if batch else engine.evaluate_many
-    results = evaluate(
-        [
-            EvalRequest(
-                model=backend,
-                topology=topology,
-                hierarchy=hierarchy,
-                order=order,
-                comm_size=n_ranks,
-                workload=workload,
-                workload_params=wl_params,
-                extras=extras,
-            )
-            for order in orders
-        ]
-    )
-    records: list[WorkloadRecord] = []
-    for order, point in zip(orders, results):
-        if is_failure(point):
-            continue  # quarantined point; salvage stays on engine.failures
-        records.append(
-            WorkloadRecord(
-                machine=topology.name,
-                order=format_order(order),
-                ring_cost=signature(hierarchy, order, n_ranks).ring_cost,
-                workload=workload,
-                label=program.meta.label or workload,
-                comm_size=n_ranks,
-                n_comms=hierarchy.size // n_ranks,
-                total_bytes=float(total),
-                duration_single=point["duration_single"],
-                duration_all=point["duration_all"],
-            )
-        )
-    return records
-
-
-def workload_ladder_sweep(
-    topology: MachineTopology,
-    hierarchy: Hierarchy,
-    workload: str,
-    params: dict | None = None,
-    orders: Sequence[Order] | None = None,
-    engine: SweepEngine | None = None,
-    jobs: int = 1,
-    cache_dir=None,
-    backend: str = "round",
-    scenario: str = "all",
-    rungs: Sequence[str] | None = None,
-    eta: float = 4.0,
-    top_k: int = 10,
-    probe: int = 16,
-    tau_floor: float = 0.9,
-    seed: int = 0,
-    batch: bool | None = None,
-    exhaustive_audit: bool = False,
-):
-    """Multi-fidelity order search for one workload.
-
-    The workload counterpart of :func:`ladder_sweep`: orders are scored
-    on the free analytic metric (using the workload's declared traffic
-    volume), survivors promoted through progressively costlier backends
-    until ``backend`` ranks the finalists.  Returns ``(records, result)``
-    with the finalists' :class:`WorkloadRecord` rows (rank-major, the
-    ``top_k`` fastest) and the ladder's audit trail.  Requests carry the
-    same content keys :func:`workload_sweep` issues, so ladder and plain
-    sweeps share every cache record.
-    """
-    from repro.engine.fidelity import (
-        FidelityLadder,
-        LadderConfig,
-        analytic_order_score,
-        default_rungs,
-    )
-    from repro.ir import backend_names
-    from repro.workloads import canonical_params, lower_workload
-
-    if backend not in backend_names():
-        raise ValueError(
-            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
-        )
-    if scenario not in ("all", "single"):
-        raise ValueError("scenario must be 'all' or 'single'")
-    hierarchy.check_process_count(topology.n_cores)
-    wl_params = canonical_params(workload, params or {})
-    program = lower_workload(workload, dict(wl_params))
-    n_ranks = program.n_ranks
-    if hierarchy.size % n_ranks:
-        raise ValueError(
-            f"workload {workload!r} needs {n_ranks} ranks, which does not "
-            f"divide the machine's {hierarchy.size} processes"
-        )
-    total = program.meta.total_bytes
-    if total is None:
-        total = program.total_bytes
-    engine = engine or SweepEngine(jobs=jobs, cache_dir=cache_dir)
-    if orders is None:
-        orders = all_orders(hierarchy.depth)
-    candidates = [tuple(order) for order in orders]
-    config = LadderConfig(
-        rungs=tuple(rungs) if rungs is not None else default_rungs(backend),
-        eta=eta,
-        top_k=top_k,
-        probe=probe,
-        tau_floor=tau_floor,
-        seed=seed,
-        duration_key="duration_all" if scenario == "all" else "duration_single",
-    )
-    if config.rungs[-1] != backend:
-        raise ValueError(
-            f"the final rung {config.rungs[-1]!r} must match backend "
-            f"{backend!r}: the finalists' records are materialized at the "
-            "sweep backend's fidelity"
-        )
-
-    def requests_for(model: str, order: Order) -> list[EvalRequest]:
-        extras = (("des_all", True),) if model == "des" else ()
-        return [
-            EvalRequest(
-                model=model,
-                topology=topology,
-                hierarchy=hierarchy,
-                order=order,
-                comm_size=n_ranks,
-                workload=workload,
-                workload_params=wl_params,
-                extras=extras,
-            )
-        ]
-
-    def metric_score(order: Order) -> float:
-        # The workload's summed flow volume through the analytic proxy:
-        # one aggregate number per order, same units as the sweep rungs.
-        return analytic_order_score(
-            topology, hierarchy, order, n_ranks, float(total)
-        )
-
-    ladder = FidelityLadder(engine, config, batch=batch)
-    result = ladder.search(
-        candidates,
-        requests_for,
-        metric_score=metric_score if "metric" in config.rungs else None,
-        exhaustive_audit=exhaustive_audit,
-    )
-    records = workload_sweep(
-        topology,
-        hierarchy,
-        workload,
-        params=dict(wl_params),
-        orders=list(result.ranking),
-        engine=engine,
-        backend=backend,
-        batch=ladder.batch,
-    )
-    key_attr = "duration_all" if scenario == "all" else "duration_single"
-    totals = {rec.order: getattr(rec, key_attr) for rec in records}
-    ranked = sorted(totals, key=lambda o: (totals[o], o))[:top_k]
-    by_order = {rec.order: rec for rec in records}
-    return [by_order[o] for o in ranked], result
 
 
 # -- verification sweeps -----------------------------------------------------

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.core.coreselect import map_cpu_list
 from repro.core.equivalence import equivalence_classes
@@ -196,15 +196,24 @@ def _sweep_dispatcher(args: argparse.Namespace, engine):
     return dispatcher
 
 
+def _reject_with_workload(args: argparse.Namespace, flags: Sequence[str]) -> None:
+    """Exit if any collective-grid flag was given next to ``--workload``."""
+    named = [
+        flag
+        for flag in flags
+        if getattr(args, flag.lstrip("-").replace("-", "_")) is not None
+    ]
+    if named:
+        verb = "conflicts" if len(named) == 1 else "conflict"
+        raise SystemExit(
+            f"{', '.join(named)} {verb} with --workload: the lowered "
+            "workload defines the communicator size, collective and "
+            "traffic volume"
+        )
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.bench.sweeps import (
-        ladder_sweep,
-        sweep,
-        to_csv,
-        top_k_records,
-        workload_ladder_sweep,
-        workload_sweep,
-    )
+    from repro.bench.sweeps import ladder_sweep, sweep, to_csv, top_k_records
     from repro.engine import SweepEngine
     from repro.workloads import WorkloadError
 
@@ -216,14 +225,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise SystemExit(
                 "--comm-sizes is required (or name a --workload instead)"
             )
-        comm_sizes = [int(s) for s in args.comm_sizes.split(",")]
-    elif args.comm_sizes:
-        raise SystemExit(
-            "--comm-sizes conflicts with --workload: the lowered workload "
-            "defines the communicator size"
+        grid: dict[str, Any] = dict(
+            comm_sizes=[int(s) for s in args.comm_sizes.split(",")],
+            collectives=tuple((args.collectives or "alltoall").split(",")),
+            sizes=[float(s) for s in (args.sizes or "1e6,64e6").split(",")],
+            algorithm=args.algorithm,
         )
-    collectives = tuple(args.collectives.split(","))
-    sizes = [float(s) for s in args.sizes.split(",")]
+    else:
+        _reject_with_workload(
+            args, ("--comm-sizes", "--collectives", "--sizes", "--algorithm")
+        )
+        grid = dict(workload=workload, workload_params=wl_params)
     orders = (
         [parse_order(o) for o in args.orders.split(",")] if args.orders else None
     )
@@ -245,51 +257,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     ladder_extra = {}
-    top_k = args.top_k if args.top_k is not None else 10
-    result = None
     try:
-        if args.ladder and workload is not None:
-            try:
-                records, result = workload_ladder_sweep(
-                    topology,
-                    h,
-                    workload,
-                    params=wl_params,
-                    orders=orders,
-                    engine=engine,
-                    backend=args.backend,
-                    scenario=args.scenario,
-                    rungs=tuple(args.rungs.split(",")) if args.rungs else None,
-                    eta=args.eta,
-                    top_k=top_k,
-                    probe=args.probe,
-                    tau_floor=args.tau_floor,
-                    seed=args.seed,
-                    exhaustive_audit=args.exhaustive_audit,
-                )
-            except WorkloadError as err:
-                raise SystemExit(str(err)) from None
-        elif args.ladder:
+        if args.ladder:
             records, result = ladder_sweep(
                 topology,
                 h,
-                comm_sizes,
-                collectives=collectives,
-                sizes=sizes,
                 orders=orders,
-                algorithm=args.algorithm,
                 engine=engine,
                 backend=args.backend,
                 scenario=args.scenario,
                 rungs=tuple(args.rungs.split(",")) if args.rungs else None,
                 eta=args.eta,
-                top_k=top_k,
+                top_k=args.top_k if args.top_k is not None else 10,
                 probe=args.probe,
                 tau_floor=args.tau_floor,
                 seed=args.seed,
                 exhaustive_audit=args.exhaustive_audit,
+                **grid,
             )
-        if result is not None:
             ladder_extra = {"ladder": result.to_jsonable()}
             for rung in result.rungs:
                 tau = "-" if rung.tau is None else f"{rung.tau:.3f}"
@@ -306,37 +291,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     f"agrees across {result.audit['n_candidates']} candidates",
                     file=sys.stderr,
                 )
-        elif workload is not None:
-            try:
-                records = workload_sweep(
-                    topology,
-                    h,
-                    workload,
-                    params=wl_params,
-                    orders=orders,
-                    engine=engine,
-                    backend=args.backend,
-                    batch=args.batch,
-                )
-            except WorkloadError as err:
-                raise SystemExit(str(err)) from None
-            if args.top_k is not None:
-                records = top_k_records(records, top_k, args.scenario)
         else:
             records = sweep(
                 topology,
                 h,
-                comm_sizes,
-                collectives=collectives,
-                sizes=sizes,
                 orders=orders,
-                algorithm=args.algorithm,
                 engine=engine,
                 backend=args.backend,
                 batch=args.batch,
+                **grid,
             )
             if args.top_k is not None:
-                records = top_k_records(records, top_k, args.scenario)
+                records = top_k_records(records, args.top_k, args.scenario)
+    except WorkloadError as err:
+        raise SystemExit(str(err)) from None
     finally:
         if engine.dispatcher is not None:
             engine.dispatcher.close()
@@ -388,17 +356,14 @@ def _cmd_advise(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--comm-size is required (or name a --workload instead)"
         )
-    if workload is not None and args.comm_size is not None:
-        raise SystemExit(
-            "--comm-size conflicts with --workload: the lowered workload "
-            "defines the communicator size"
-        )
+    if workload is not None:
+        _reject_with_workload(args, ("--comm-size", "--collective"))
     try:
         advice = advise(
             topology,
             h,
             args.comm_size,
-            collective=args.collective,
+            collective=args.collective or "alltoall",
             scenario=args.scenario,
             backend=args.backend,
             ladder=args.ladder,
@@ -663,8 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="communicator size (required unless --workload is given)",
     )
     p.add_argument(
-        "--collective", default="alltoall",
+        "--collective", default=None,
         choices=["alltoall", "allgather", "allreduce"],
+        help="collective to rank for (default: alltoall)",
     )
     _add_workload_args(p)
     p.add_argument("--scenario", default="all", choices=["all", "single"])
@@ -697,13 +663,14 @@ def build_parser() -> argparse.ArgumentParser:
         "unless --workload is given)",
     )
     p.add_argument(
-        "--collectives", default="alltoall",
-        help="comma-separated collectives (alltoall,allgather,allreduce)",
+        "--collectives", default=None,
+        help="comma-separated collectives (alltoall,allgather,allreduce; "
+        "default: alltoall)",
     )
     _add_workload_args(p)
     p.add_argument(
-        "--sizes", default="1e6,64e6",
-        help="comma-separated data sizes in bytes",
+        "--sizes", default=None,
+        help="comma-separated data sizes in bytes (default: 1e6,64e6)",
     )
     p.add_argument(
         "--orders", default=None,

@@ -34,13 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.bench.microbench import run_microbench, run_program
 from repro.core.equivalence import equivalence_classes
 from repro.core.hierarchy import Hierarchy
 from repro.core.metrics import OrderSignature
 from repro.core.orders import Order, format_order
 from repro.launcher.slurm import order_to_distribution
-from repro.netsim.fabric import Fabric
 from repro.topology.machine import MachineTopology
 
 
@@ -182,68 +180,39 @@ def plan_query(
     the same content keys the sweep layer issues, so advisor and sweeps
     share every cache record.
     """
-    from repro.engine import EvalRequest
-    from repro.ir import backend_names
+    from repro.bench.sweeps import _cell_request, _grid
 
-    if scenario not in ("all", "single"):
-        raise ValueError("scenario must be 'all' or 'single'")
-    if backend not in backend_names():
-        raise ValueError(
-            f"unknown backend {backend!r} (available: {', '.join(backend_names())})"
-        )
-    wl_params: tuple = ()
-    if workload is not None:
-        from repro.workloads import canonical_params, lower_workload
-
-        wl_params = canonical_params(workload, workload_params or {})
-        program = lower_workload(workload, dict(wl_params))
-        if comm_size is not None and comm_size != program.n_ranks:
-            raise ValueError(
-                f"workload {workload!r} lowers to {program.n_ranks} ranks "
-                f"but the query names comm_size={comm_size}; omit comm_size "
-                "for workload queries"
-            )
-        comm_size = program.n_ranks
-        if hierarchy.size % comm_size:
-            raise ValueError(
-                f"workload {workload!r} needs {comm_size} ranks, which does "
-                f"not divide the machine's {hierarchy.size} processes"
-            )
-        total = program.meta.total_bytes
-        if total is None:
-            total = program.total_bytes
-        sizes = (float(total),)
-        collective = workload  # the report label for workload advice
-    else:
+    if workload is None:
         if comm_size is None:
             raise ValueError(
                 "comm_size is required for collective-shaped queries"
             )
-        sizes = tuple(float(s) for s in total_bytes)
-        if not sizes:
-            raise ValueError("total_bytes must name at least one payload size")
-    hierarchy.check_process_count(topology.n_cores)
+        grid: dict = dict(
+            comm_sizes=[comm_size], collectives=[collective],
+            sizes=total_bytes, algorithm=algorithm,
+        )
+    else:
+        grid = dict(workload=workload, workload_params=workload_params)
+    (cells,) = _grid(topology, hierarchy, backend, scenario=scenario, **grid)
+    if not cells:
+        raise ValueError("total_bytes must name at least one payload size")
+    if workload is not None:
+        if comm_size not in (None, cells[0].comm_size):
+            raise ValueError(
+                f"workload {workload!r} lowers to {cells[0].comm_size} ranks "
+                f"but the query names comm_size={comm_size}; omit comm_size "
+                "for workload queries"
+            )
+        collective = workload  # the report label for workload advice
+    comm_size = cells[0].comm_size
     classes = tuple(
         tuple(sigs)
         for sigs in equivalence_classes(hierarchy, comm_size, orders=orders).values()
     )
-    extras = (("des_all", True),) if backend == "des" else ()
     requests = tuple(
-        EvalRequest(
-            model=backend,
-            topology=topology,
-            hierarchy=hierarchy,
-            order=tuple(sigs[0].order),
-            comm_size=comm_size,
-            collective=None if workload is not None else collective,
-            algorithm=None if workload is not None else algorithm,
-            total_bytes=None if workload is not None else nbytes,
-            workload=workload,
-            workload_params=wl_params,
-            extras=extras,
-        )
+        _cell_request(backend, topology, hierarchy, tuple(sigs[0].order), cell)
         for sigs in classes
-        for nbytes in sizes
+        for cell in cells
     )
     return QueryPlan(
         topology=topology,
@@ -253,11 +222,11 @@ def plan_query(
         scenario=scenario,
         backend=backend,
         algorithm=algorithm,
-        total_bytes=sizes,
+        total_bytes=tuple(float(cell.total_bytes) for cell in cells),
         classes=classes,
         requests=requests,
         workload=workload,
-        workload_params=wl_params,
+        workload_params=cells[0].params if workload is not None else (),
     )
 
 
@@ -352,13 +321,14 @@ def ladder_advise(
     """
     import dataclasses
 
-    from repro.engine import EvalRequest, SweepEngine
+    from repro.engine import SweepEngine
     from repro.engine.fidelity import (
         FidelityLadder,
         LadderConfig,
         analytic_order_score,
         default_rungs,
     )
+    from repro.engine.keys import protocol_request
 
     engine = engine or SweepEngine()
     if config is None:
@@ -379,27 +349,16 @@ def ladder_advise(
     n_sizes = plan.n_sizes
 
     def requests_for(model: str, ci: int) -> Sequence:
+        own = plan.requests[ci * n_sizes : (ci + 1) * n_sizes]
         if model == plan.backend:
             # The plan's own grid slice: identical objects, identical keys.
-            return plan.requests[ci * n_sizes : (ci + 1) * n_sizes]
-        rep = tuple(plan.classes[ci][0].order)
-        extras = (("des_all", True),) if model == "des" else ()
-        workload = plan.workload
+            return own
         return [
-            EvalRequest(
-                model=model,
-                topology=plan.topology,
-                hierarchy=plan.hierarchy,
-                order=rep,
-                comm_size=plan.comm_size,
-                collective=None if workload is not None else plan.collective,
-                algorithm=None if workload is not None else plan.algorithm,
-                total_bytes=None if workload is not None else nbytes,
-                workload=workload,
-                workload_params=plan.workload_params,
-                extras=extras,
+            protocol_request(
+                model, r.topology, r.hierarchy, r.order, r.comm_size,
+                r.workload, r.workload_params,
             )
-            for nbytes in plan.total_bytes
+            for r in own
         ]
 
     def metric_score(ci: int) -> float:
@@ -443,7 +402,6 @@ def advise(
     algorithm: str | None = None,
     orders: Sequence[Order] | None = None,
     backend: str = "round",
-    batch: bool = False,
     engine=None,
     ladder=False,
     workload: str | None = None,
@@ -459,12 +417,12 @@ def advise(
     default contention model), ``logp`` (faster, rankings-only fidelity)
     or ``des`` (slowest, per-flow exact).
 
-    ``batch`` scores the whole representative frontier through the sweep
-    engine's vectorized batch path (round/logp run as stacked array
-    passes; other backends fall back to the engine's pool) — bitwise
-    identical durations and rankings, order-of-magnitude faster frontier
-    scoring.  Pass ``engine`` (a :class:`~repro.engine.SweepEngine`) to
-    share its cache across calls; otherwise a private serial one is used.
+    The representative frontier is scored through a
+    :class:`~repro.engine.SweepEngine`'s batch path (round/logp run as
+    stacked array passes; ``des`` falls back to the engine's pool) --
+    the same evaluation the advisor service runs, so served and offline
+    advice agree by construction.  Pass ``engine`` to share its cache
+    across calls; otherwise a private serial one is used.
 
     ``ladder`` routes the ranking through the multi-fidelity search
     instead (``True`` for the stock ladder toward ``backend``, or a
@@ -477,6 +435,8 @@ def advise(
     the lowered program -- omit it); the score is the workload's
     scenario duration per equivalence class.
     """
+    from repro.engine import SweepEngine
+
     plan = plan_query(
         topology,
         hierarchy,
@@ -496,42 +456,5 @@ def advise(
         config = ladder if isinstance(ladder, LadderConfig) else None
         advice, _ = ladder_advise(plan, engine=engine, config=config)
         return advice
-    if batch:
-        from repro.engine import SweepEngine
-
-        engine = engine or SweepEngine()
-        flat = engine.evaluate_batch(list(plan.requests))
-        return advice_from_results(plan, flat)
-    fabric = Fabric(topology) if backend == "round" else None
-    program = None
-    if plan.workload is not None:
-        from repro.workloads import lower_workload
-
-        program = lower_workload(plan.workload, dict(plan.workload_params))
-    totals = []
-    for sigs in plan.classes:
-        rep = sigs[0]
-        total = 0.0
-        if program is not None:
-            point = run_program(
-                topology, hierarchy, rep.order, program,
-                fabric=fabric, backend=backend,
-            )
-            total = (
-                point.duration_all
-                if scenario == "all"
-                else point.duration_single
-            )
-        else:
-            for nbytes in plan.total_bytes:
-                point = run_microbench(
-                    topology, hierarchy, rep.order, plan.comm_size, collective,
-                    nbytes, algorithm=algorithm, fabric=fabric, backend=backend,
-                )
-                total += (
-                    point.duration_all
-                    if scenario == "all"
-                    else point.duration_single
-                )
-        totals.append(total)
-    return _assemble(plan, totals)
+    engine = engine or SweepEngine()
+    return advice_from_results(plan, engine.evaluate_batch(list(plan.requests)))

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.hierarchy import Hierarchy
 from repro.core.orders import format_order
 from repro.engine.core import SweepEngine
-from repro.engine.keys import EvalRequest
+from repro.engine.keys import EvalRequest, collective_params, protocol_request
 from repro.engine.supervisor import is_failure
 from repro.topology.machine import MachineTopology
 
@@ -88,9 +88,9 @@ class BatchEvaluationError(RuntimeError):
 class BatchEvalRequest:
     """One frontier: every listed order crossed with every payload size.
 
-    ``model`` names a registered evaluator (``round`` and ``logp`` have
-    vectorized batch evaluators; any other model transparently runs on
-    the supervised scalar path).  ``extras`` and ``seed`` are forwarded
+    ``model`` names a protocol backend (``round`` and ``logp`` have
+    vectorized batch evaluators; ``des`` transparently runs on the
+    supervised scalar path).  ``extras`` and ``seed`` are forwarded
     to every generated request.
     """
 
@@ -120,21 +120,20 @@ class BatchEvalRequest:
 
     def requests(self) -> list[EvalRequest]:
         """The flattened grid, order-major: ``index = o * n_sizes + s``."""
+        cells = [
+            collective_params(
+                self.collective, self.comm_size, nbytes, self.algorithm
+            )
+            for nbytes in self.total_bytes
+        ]
         return [
-            EvalRequest(
-                model=self.model,
-                topology=self.topology,
-                hierarchy=self.hierarchy,
-                order=order,
-                comm_size=self.comm_size,
-                collective=self.collective,
-                algorithm=self.algorithm,
-                total_bytes=nbytes,
-                seed=self.seed,
-                extras=self.extras,
+            protocol_request(
+                self.model, self.topology, self.hierarchy, order,
+                self.comm_size, "collective", params,
+                seed=self.seed, extras=self.extras,
             )
             for order in self.orders
-            for nbytes in self.total_bytes
+            for params in cells
         ]
 
     def stack(self, results: Sequence[dict], key: str) -> np.ndarray:

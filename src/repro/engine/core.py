@@ -41,6 +41,7 @@ import math
 import os
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -72,6 +73,11 @@ AUDIT_RTOL = 1e-9
 #: doubles per retry.  Small: most engine failures are deterministic or
 #: crash-shaped, so waiting longer buys nothing.
 DEFAULT_RETRY_BACKOFF = 0.05
+
+#: Placement keys each engine memoizes, least recently used evicted first:
+#: a long-running service sees an unbounded stream of distinct
+#: (hierarchy, order, comm size) triples.
+CLASS_KEY_MEMO_SIZE = 4096
 
 
 class EngineAuditError(AssertionError):
@@ -222,7 +228,7 @@ class SweepEngine:
             self.stats.tmp_files_removed = self.cache.gc_tmp_files()
             self.journal = SweepJournal(Path(cache_dir) / JOURNAL_NAME)
             self.stats.journal_replayed = self.journal.replayed
-        self._class_keys: dict[tuple, tuple] = {}
+        self._class_keys: OrderedDict[tuple, tuple] = OrderedDict()
         # Engine internals (cache bookkeeping, stats, journal handle) are
         # not thread-safe; the advisor service shares one engine across
         # request handlers and pre-warm workers, so the whole pipeline
@@ -435,9 +441,13 @@ class SweepEngine:
         h = request.hierarchy
         memo = (h.radices, h.names, h.masked, request.order, request.comm_size)
         hit = self._class_keys.get(memo)
-        if hit is None:
-            hit = placement_key(h, request.order, request.comm_size)
-            self._class_keys[memo] = hit
+        if hit is not None:
+            self._class_keys.move_to_end(memo)
+            return hit
+        hit = placement_key(h, request.order, request.comm_size)
+        self._class_keys[memo] = hit
+        while len(self._class_keys) > CLASS_KEY_MEMO_SIZE:
+            self._class_keys.popitem(last=False)
         return hit
 
     def _audit(

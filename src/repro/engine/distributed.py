@@ -192,6 +192,9 @@ def request_to_wire(request: EvalRequest) -> dict:
         ]
     if request.extras:
         doc["extras"] = [[k, v] for k, v in request.extras]
+    if request.workload is not None:
+        doc["workload"] = request.workload
+        doc["workload_params"] = [[k, v] for k, v in request.workload_params]
     return doc
 
 
@@ -253,11 +256,16 @@ def request_from_wire(doc: dict) -> EvalRequest:
         seed=int(doc["seed"]),
         schedule=schedule,
         extras=extras,
+        workload=doc.get("workload"),
+        workload_params=tuple(
+            (k, _unlist(v)) for k, v in doc.get("workload_params", [])
+        ),
     )
 
 
 def _unlist(value):
-    """JSON turned extras tuples into lists; restore hashable tuples.
+    """JSON turned extras and parameter tuples into lists; restore
+    hashable tuples.
 
     Canonicalisation treats lists and tuples identically, so this only
     matters for the dataclass's own hashability, not for the key.

@@ -112,98 +112,59 @@ def evaluate_requests_batch(requests: Sequence[EvalRequest]) -> list[dict]:
     return out  # type: ignore[return-value]
 
 
-# -- workload frontends -------------------------------------------------------
+# -- protocol points (round / logp / des) -------------------------------------
 
 
 def _workload_program(req: EvalRequest):
-    """Lower a workload-bearing request through the registry.
+    """Lower a protocol request's workload through the registry.
 
-    Contract: requests carrying a workload set ``comm_size`` to the
-    lowered program's rank count (their constructors read the same
-    registry), so placement derivation and the batch path's grouping key
-    agree with the collective-shaped requests they ride alongside.
+    Every protocol request names a workload (collectives are the
+    ``collective`` workload, see :class:`~repro.engine.keys.EvalRequest`),
+    and its ``comm_size`` is the lowered program's rank count, so
+    placement derivation and the batch path's grouping key agree.
     """
     from repro.workloads import lower_workload
 
     return lower_workload(req.workload, dict(req.workload_params))
 
 
-def _microbench_point(req: EvalRequest, backend: str):
-    """One protocol point for either request shape (collective/workload)."""
-    from repro.bench.microbench import run_microbench, run_program
+def _protocol_point(req: EvalRequest, backend: str) -> dict:
+    """Section 4.1 protocol point: one and all subcommunicators.
 
-    if req.workload is not None:
-        return run_program(
-            req.topology,
-            req.hierarchy,
-            req.order,
-            _workload_program(req),
-            backend=backend,
-        )
-    return run_microbench(
-        req.topology,
-        req.hierarchy,
-        req.order,
-        req.comm_size,
-        req.collective,
-        req.total_bytes,
-        algorithm=req.algorithm,
+    ``round`` and ``logp`` share the protocol and output keys, so sweeps,
+    figures and the advisor consume either interchangeably; ``logp``
+    fidelity is advisory (order rankings, not absolute durations).
+    """
+    from repro.bench.microbench import run_program
+
+    point = run_program(
+        req.topology, req.hierarchy, req.order, _workload_program(req),
         backend=backend,
     )
-
-
-# -- round model --------------------------------------------------------------
-
-
-def _eval_round(req: EvalRequest) -> dict:
-    """Section 4.1 micro-benchmark point on the synchronized-round model."""
-    point = _microbench_point(req, "round")
     return {
         "duration_single": point.duration_single,
         "duration_all": point.duration_all,
     }
 
 
-register_evaluator("round", _eval_round)
+register_evaluator("round", partial(_protocol_point, backend="round"))
+register_evaluator("logp", partial(_protocol_point, backend="logp"))
 
 
-# -- logp analytical model ----------------------------------------------------
-
-
-def _eval_logp(req: EvalRequest) -> dict:
-    """The micro-benchmark point on the fast LogP-style backend.
-
-    Same protocol and output keys as ``round``, so sweeps, figures and
-    the advisor consume either interchangeably; fidelity is advisory
-    (order rankings, not absolute durations).
-    """
-    point = _microbench_point(req, "logp")
-    return {
-        "duration_single": point.duration_single,
-        "duration_all": point.duration_all,
-    }
-
-
-register_evaluator("logp", _eval_logp)
-
-
-# -- batch microbench (round + logp) ------------------------------------------
-
-
-def _eval_microbench_batch(
+def _eval_protocol_batch(
     backend_name: str, reqs: list[EvalRequest]
 ) -> list[dict]:
-    """One vectorized pass over a frontier of microbench requests.
+    """One vectorized pass over a frontier of protocol requests.
 
     Requests sharing (topology, hierarchy, order, comm_size) share a
     placement, so their programs stack into one ``run_batch`` call per
     scenario; the backend's structure memo persists across groups, so
     orders whose placements coincide (unpruned equivalence classes)
     analyse each round pattern exactly once for the whole frontier.
-    Bitwise contract: entry ``i`` equals ``_eval_{round,logp}(reqs[i])``.
+    Bitwise contract: entry ``i`` equals ``_protocol_point(reqs[i], backend_name)``.
     """
     from repro.bench.microbench import comm_members
-    from repro.ir import collective_program, get_backend
+    from repro.ir import get_backend
 
     engine = get_backend(backend_name)
     out: list[dict | None] = [None] * len(reqs)
@@ -215,18 +176,8 @@ def _eval_microbench_batch(
     for (topology, hierarchy, order, comm_size), idxs in groups.items():
         hierarchy.check_process_count(topology.n_cores)
         members = comm_members(hierarchy, order, comm_size)
-        programs = [
-            _workload_program(reqs[i])
-            if reqs[i].workload is not None
-            else collective_program(
-                reqs[i].collective,
-                comm_size,
-                reqs[i].total_bytes,
-                reqs[i].algorithm,
-            )
-            for i in idxs
-        ]
-        # Microbench points only read total times; skip the per-round
+        programs = [_workload_program(reqs[i]) for i in idxs]
+        # Protocol points only read total times; skip the per-round
         # RoundCost breakdown (``detail=False`` leaves times bit-exact).
         options = {"detail": False}
         if backend_name == "round":
@@ -242,23 +193,12 @@ def _eval_microbench_batch(
     return out  # type: ignore[return-value]
 
 
-def _eval_round_batch(reqs: list[EvalRequest]) -> list[dict]:
-    return _eval_microbench_batch("round", reqs)
-
-
-def _eval_logp_batch(reqs: list[EvalRequest]) -> list[dict]:
-    return _eval_microbench_batch("logp", reqs)
-
-
-register_batch_evaluator("round", _eval_round_batch)
-register_batch_evaluator("logp", _eval_logp_batch)
-
-
-# -- discrete-event simulation ------------------------------------------------
+register_batch_evaluator("round", partial(_eval_protocol_batch, "round"))
+register_batch_evaluator("logp", partial(_eval_protocol_batch, "logp"))
 
 
 def _eval_des(req: EvalRequest) -> dict:
-    """DES replay of the first subcommunicator's collective schedule.
+    """DES replay of the first subcommunicator's program.
 
     Returns both the DES makespan and the round model's prediction for the
     same schedule, so differential consumers get their comparison from one
@@ -269,17 +209,12 @@ def _eval_des(req: EvalRequest) -> dict:
     offset-concatenated into one DES run) as ``duration_all``.
     """
     from repro.core.reorder import RankReordering
-    from repro.ir import collective_program, get_backend, placed_rounds
+    from repro.ir import get_backend, placed_rounds
     from repro.netsim.fabric import Fabric
 
     reordering = RankReordering(req.hierarchy, req.order, req.comm_size)
     cores = reordering.comm_members(0)
-    if req.workload is not None:
-        program = _workload_program(req)
-    else:
-        program = collective_program(
-            req.collective, req.comm_size, req.total_bytes, req.algorithm
-        )
+    program = _workload_program(req)
     mode = req.extra("mode", "lockstep")
     incremental = bool(req.extra("incremental", True))
     audit_rates = bool(req.extra("audit_rates", False))

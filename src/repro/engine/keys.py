@@ -1,8 +1,8 @@
 """Canonical, content-addressed evaluation requests.
 
-Every simulation the sweep layer runs -- a round-model micro-benchmark
-point, a DES schedule replay, a verification cell, a chaos cell -- is
-described by an :class:`EvalRequest`.  The request canonicalises all
+Every simulation the sweep layer runs -- a protocol point on the
+``round``/``logp``/``des`` backends, a verification cell, a chaos cell --
+is described by an :class:`EvalRequest`.  The request canonicalises all
 inputs that influence the result (hierarchy, order, communicator size,
 collective, payload size, fault schedule, seed, *and* every performance
 parameter of the machine topology) into a deterministic JSON document,
@@ -42,7 +42,16 @@ from repro.topology.machine import MachineTopology
 #:           (``schema`` + ``checksum`` of the result payload); pre-3
 #:           records would be quarantined as corrupt, so retire their
 #:           keys instead.
-CACHE_SCHEMA = 3
+#:   3 -> 4: protocol points (``round``/``logp``/``des``) are keyed in one
+#:           shape: a collective is the ``collective`` workload, so the
+#:           legacy ``collective``/``algorithm``/``total_bytes`` fields no
+#:           longer appear in their canonical documents.
+CACHE_SCHEMA = 4
+
+#: Models that run the Section 4.1 protocol point: place one lowered
+#: workload on the reordered world and time it on one subcommunicator
+#: and on all of them.
+PROTOCOL_MODELS = frozenset({"round", "logp", "des"})
 
 
 def _package_version() -> str:
@@ -138,24 +147,37 @@ class EvalRequest:
     seed: int = 0
     schedule: Any = None  # FaultSchedule | None (kept loose to avoid a cycle)
     extras: tuple[tuple[str, Any], ...] = field(default=())
-    #: Workload-frontend requests: the registered workload name plus its
+    #: Protocol-point requests: the registered workload name plus its
     #: canonical parameter pairs (see ``repro.workloads.canonical_params``).
-    #: ``None``/``()`` on collective-style requests, so legacy canonical
-    #: documents -- and therefore cached keys -- are untouched.
+    #: A collective-shaped protocol request (``collective``/``algorithm``/
+    #: ``total_bytes`` set, no workload) is rewritten on construction to
+    #: the equivalent ``collective`` workload, so both spellings share one
+    #: key.  ``verify`` cells keep their collective fields.
     workload: str | None = None
     workload_params: tuple[tuple[str, Any], ...] = field(default=())
 
     def __post_init__(self) -> None:
+        if self.model in PROTOCOL_MODELS and self.workload is None and (
+            self.collective is not None
+            or self.algorithm is not None
+            or self.total_bytes is not None
+        ):
+            params = collective_params(
+                self.collective, self.comm_size, self.total_bytes,
+                self.algorithm,
+            )
+            object.__setattr__(self, "workload", "collective")
+            object.__setattr__(self, "workload_params", params)
+            for name in ("collective", "algorithm", "total_bytes"):
+                object.__setattr__(self, name, None)
         if self.order is not None:
             object.__setattr__(self, "order", tuple(int(i) for i in self.order))
-        object.__setattr__(
-            self, "extras", tuple(sorted((str(k), v) for k, v in self.extras))
-        )
-        object.__setattr__(
-            self,
-            "workload_params",
-            tuple(sorted((str(k), v) for k, v in self.workload_params)),
-        )
+        for name in ("extras", "workload_params"):
+            pairs = getattr(self, name)
+            out = tuple(sorted((str(k), v) for k, v in pairs))
+            # Keep an already-sorted tuple: requests built from one grid
+            # cell then share it instead of each holding a copy.
+            object.__setattr__(self, name, pairs if out == pairs else out)
 
     def extra(self, name: str, default: Any = None) -> Any:
         for k, v in self.extras:
@@ -220,6 +242,58 @@ class EvalRequest:
         two requests differing only in seed draw different streams.
         """
         return (int(self.key[:12], 16) ^ (self.seed * 0x9E3779B1)) % (2**31)
+
+
+def collective_params(
+    collective: str,
+    comm_size: int,
+    total_bytes: float,
+    algorithm: str | None = None,
+) -> tuple[tuple[str, Any], ...]:
+    """Canonical ``collective``-workload parameters of one protocol point."""
+    from repro.workloads import canonical_params
+
+    return canonical_params(
+        "collective",
+        dict(
+            collective=collective, p=comm_size, total_bytes=total_bytes,
+            algorithm=algorithm,
+        ),
+    )
+
+
+def protocol_request(
+    model: str,
+    topology: MachineTopology,
+    hierarchy: Hierarchy,
+    order: Sequence[int],
+    comm_size: int,
+    workload: str,
+    workload_params: tuple[tuple[str, Any], ...],
+    seed: int = 0,
+    extras: tuple[tuple[str, Any], ...] = (),
+) -> EvalRequest:
+    """The one constructor of protocol-point requests.
+
+    Sweeps, ladders, figures, frontier batches and the advisor all build
+    their ``round``/``logp``/``des`` requests here, so equal physics gets
+    equal keys wherever it is asked for.  ``des`` requests always carry
+    the ``des_all`` extra: protocol consumers read ``duration_all``, which
+    the DES evaluator only simulates when asked.
+    """
+    if model == "des":
+        extras = tuple(dict((*extras, ("des_all", True))).items())
+    return EvalRequest(
+        model=model,
+        topology=topology,
+        hierarchy=hierarchy,
+        order=order,
+        comm_size=comm_size,
+        seed=seed,
+        extras=extras,
+        workload=workload,
+        workload_params=workload_params,
+    )
 
 
 def request_batch_orders(requests: Sequence[EvalRequest]) -> list[tuple[int, ...]]:

@@ -1,9 +1,9 @@
 """The collective workload: one MPI collective via the algorithm registry.
 
-The registry body of what used to be the private
-``repro.ir.lower._collective_program``;
-:func:`repro.ir.lower.collective_program` is now a thin shim over this
-workload, so lowered programs (and their goldens) stay bitwise identical.
+Every collective protocol point is this workload: sweeps, figures, the
+advisor and collective-shaped :class:`~repro.engine.keys.EvalRequest`
+objects all key and lower it through the registry, and
+:func:`repro.ir.lower.collective_program` calls it positionally.
 """
 
 from __future__ import annotations

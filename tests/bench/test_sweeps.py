@@ -243,3 +243,68 @@ class TestEngineIntegration:
         second = verify_sweep([4], collectives=["allgather"], engine=engine)
         assert first == second
         assert engine.stats.evaluated == evaluated
+
+
+class TestOneProtocolPath:
+    """Collective and workload grids are one request shape."""
+
+    ORDERS = [(0, 1, 2, 3), (2, 1, 0, 3), (3, 2, 1, 0)]
+
+    @pytest.mark.parametrize("backend", ["round", "logp"])
+    def test_collective_workload_spelling_is_bitwise_and_cached(self, backend):
+        from repro.engine import SweepEngine
+
+        engine = SweepEngine()
+        collective = sweep(
+            TOPO, H, comm_sizes=[16], sizes=[1e6], orders=self.ORDERS,
+            engine=engine, backend=backend,
+        )
+        evaluated = engine.stats.evaluated
+        workload = sweep(
+            TOPO, H, orders=self.ORDERS, engine=engine, backend=backend,
+            workload="collective",
+            workload_params={
+                "collective": "alltoall", "p": 16, "total_bytes": 1e6
+            },
+        )
+        assert engine.stats.evaluated == evaluated  # every point recalled
+        assert [(r.order, repr(r.duration_single), repr(r.duration_all))
+                for r in collective] == [
+            (r.order, repr(r.duration_single), repr(r.duration_all))
+            for r in workload
+        ]
+        assert workload[0].workload == "collective"
+        assert workload[0].label == "alltoall/" + collective[0].algorithm
+
+    def test_workload_grid_rejects_collective_arguments(self):
+        with pytest.raises(ValueError, match="must not name"):
+            sweep(
+                TOPO, H, sizes=[1e6], workload="collective",
+                workload_params={
+                    "collective": "alltoall", "p": 16, "total_bytes": 1e6
+                },
+            )
+
+    def test_dnn_ladder_rows_match_the_former_workload_ladder(self):
+        from repro.bench.sweeps import ladder_sweep
+
+        topo = generic_cluster((2, 2, 2, 4))
+        records, result = ladder_sweep(
+            topo, topo.hierarchy, workload="dnn",
+            workload_params={"dp": 2, "tp": 2, "pp": 2, "hidden": 32, "seq": 16},
+            top_k=3, probe=4,
+        )
+        # Rows the former workload-only ladder returned on the same inputs.
+        assert to_csv(records) == (
+            "machine,order,ring_cost,workload,label,comm_size,n_comms,"
+            "total_bytes,duration_single,duration_all\r\n"
+            "generic-2x2x2x4,3-2-0-1,8,dnn,dnn-dp2xtp2xpp2/L2h32,8,4,172032.0,"
+            "0.00013738920634920633,0.00013738920634920633\r\n"
+            "generic-2x2x2x4,3-2-1-0,8,dnn,dnn-dp2xtp2xpp2/L2h32,8,4,172032.0,"
+            "0.00013738920634920633,0.00013738920634920633\r\n"
+            "generic-2x2x2x4,3-1-0-2,9,dnn,dnn-dp2xtp2xpp2/L2h32,8,4,172032.0,"
+            "0.00013883956825396824,0.00013924916825396825\r\n"
+        )
+        assert [(r.rung, r.n_candidates, r.n_promoted) for r in result.rungs] == [
+            ("metric", 24, 9), ("logp", 9, 3), ("round", 3, 3)
+        ]

@@ -81,6 +81,23 @@ class TestWireFormat:
         assert wired.extras == request.extras  # tuples restored, hashable
         assert wired.schedule.specs == schedule.specs
 
+    def test_round_trip_preserves_workload_requests(self):
+        from repro.workloads import canonical_params
+
+        topo = generic_cluster((2, 2, 4), names=NAMES)
+        request = EvalRequest(
+            model="des", topology=topo, hierarchy=topo.hierarchy,
+            order=(2, 1, 0), comm_size=8, workload="dnn",
+            workload_params=canonical_params(
+                "dnn", {"dp": 2, "tp": 2, "pp": 2, "hidden": 32, "seq": 16}
+            ),
+            extras=(("des_all", True),),
+        )
+        wired = request_from_wire(json.loads(json.dumps(request_to_wire(request))))
+        assert wired.workload == "dnn"
+        assert wired.workload_params == request.workload_params
+        assert wired.key == request.key
+
     def test_permanent_fault_end_inf_survives_json(self):
         h = Hierarchy((2,), names=("node",))
         topo = generic_cluster((2,), names=("node",))

@@ -40,8 +40,13 @@ def _round_req(order=(0, 1, 2), total=1e6, **overrides) -> EvalRequest:
     return EvalRequest(**base)
 
 
+def _total_bytes(req: EvalRequest) -> float:
+    """The payload of a collective-shaped request (keyed as a workload)."""
+    return float(dict(req.workload_params).get("total_bytes", 0.0))
+
+
 def _order_blind_eval(req: EvalRequest) -> dict:
-    return {"value": float(req.total_bytes or 0.0)}
+    return {"value": _total_bytes(req)}
 
 
 def _order_sensitive_eval(req: EvalRequest) -> dict:
@@ -208,7 +213,7 @@ class TestRobustness:
 
     def _boom_on(self, total):
         def eval_or_boom(req: EvalRequest) -> dict:
-            if req.total_bytes == total:
+            if _total_bytes(req) == total:
                 raise RuntimeError("permanently broken cell")
             return _order_blind_eval(req)
 
@@ -311,3 +316,22 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_evaluator("round", _order_blind_eval)
+
+
+class TestClassKeyMemo:
+    def test_memo_stays_bounded_and_pruning_unchanged(self, monkeypatch):
+        import repro.engine.core as core
+        from repro.bench.sweeps import sweep
+
+        h = Hierarchy((2, 2, 2, 2), names=("node", "socket", "group", "core"))
+        topo = generic_cluster((2, 2, 2, 2), names=h.names)
+        kwargs = dict(comm_sizes=[4], sizes=[1e5], backend="logp")
+        unbounded = SweepEngine()
+        reference = sweep(topo, h, engine=unbounded, **kwargs)
+        assert len(unbounded._class_keys) == 24  # one per order
+
+        monkeypatch.setattr(core, "CLASS_KEY_MEMO_SIZE", 4)
+        bounded = SweepEngine()
+        assert sweep(topo, h, engine=bounded, **kwargs) == reference
+        assert len(bounded._class_keys) == 4
+        assert bounded.stats.pruned == unbounded.stats.pruned > 0

@@ -139,3 +139,75 @@ class TestWorkerSeed:
 
     def test_in_numpy_seed_range(self):
         assert 0 <= _req(seed=12345).worker_seed() < 2**31
+
+
+class TestProtocolShape:
+    """A collective protocol point is the ``collective`` workload."""
+
+    @staticmethod
+    def _workload_form(model: str) -> EvalRequest:
+        from repro.workloads import canonical_params
+
+        return _req(
+            model=model,
+            collective=None,
+            total_bytes=None,
+            workload="collective",
+            workload_params=canonical_params(
+                "collective",
+                {"collective": "alltoall", "p": 4, "total_bytes": 1e6},
+            ),
+        )
+
+    @pytest.mark.parametrize("model", ["round", "logp", "des"])
+    def test_collective_shape_keys_as_collective_workload(self, model):
+        legacy = _req(model=model)
+        assert legacy.key == self._workload_form(model).key
+        doc = legacy.canonical()
+        assert doc["workload"] == "collective"
+        assert doc["workload_params"] == {
+            "algorithm": None,
+            "collective": "alltoall",
+            "p": 4,
+            "total_bytes": repr(1e6),
+        }
+        for name in ("collective", "algorithm", "total_bytes"):
+            assert name not in doc
+            assert getattr(legacy, name) is None
+
+    def test_pinned_algorithm_is_a_workload_parameter(self):
+        doc = _req(algorithm="pairwise").canonical()
+        assert doc["workload_params"]["algorithm"] == "pairwise"
+
+    def test_verify_canonical_unchanged(self):
+        req = _req(
+            model="verify", hierarchy=None, order=None, algorithm="pairwise",
+            extras=(("tolerance", 0.01),),
+        )
+        doc = req.canonical()
+        topology = doc.pop("topology")
+        assert topology == topology_fingerprint(req.topology)
+        doc.pop("version")
+        assert doc == {
+            "schema": CACHE_SCHEMA,
+            "model": "verify",
+            "seed": 0,
+            "comm_size": 4,
+            "collective": "alltoall",
+            "algorithm": "pairwise",
+            "total_bytes": repr(1e6),
+            "extras": {"tolerance": repr(0.01)},
+        }
+        assert req.workload is None
+
+    @pytest.mark.parametrize("model", ["round", "logp", "des"])
+    def test_builder_matches_constructor_and_owns_des_all(self, model):
+        from repro.engine.keys import collective_params, protocol_request
+
+        req = protocol_request(
+            model, _req().topology, H, (2, 1, 0), 4, "collective",
+            collective_params("alltoall", 4, 1e6),
+        )
+        assert req.extra("des_all", False) is (model == "des")
+        extras = (("des_all", True),) if model == "des" else ()
+        assert req.key == _req(model=model, extras=extras).key

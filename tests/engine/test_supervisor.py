@@ -48,8 +48,13 @@ def _reqs(n: int, model: str = "round") -> list[EvalRequest]:
     ]
 
 
+def _total_bytes(req: EvalRequest) -> float:
+    """The payload of a collective-shaped request (keyed as a workload)."""
+    return float(dict(req.workload_params).get("total_bytes", 0.0))
+
+
 def _cheap_eval(req: EvalRequest) -> dict:
-    return {"value": float(req.total_bytes or 0.0)}
+    return {"value": _total_bytes(req)}
 
 
 @pytest.fixture
@@ -58,7 +63,7 @@ def cheap_round(monkeypatch):
 
 
 def _expected(reqs):
-    return [{"value": float(r.total_bytes)} for r in reqs]
+    return [{"value": _total_bytes(r)} for r in reqs]
 
 
 class _Pool:

@@ -214,7 +214,6 @@ class TestAdvise:
                 workload="dnn",
                 workload_params=dict(params),
                 backend="logp",
-                batch=True,
             )
             assert response["advice"] == offline.to_jsonable()
             assert response["provenance"]["workload"] == "dnn"

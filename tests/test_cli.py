@@ -271,6 +271,33 @@ class TestWorkloads:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--collectives", "allgather"),
+            ("--sizes", "1e6"),
+            ("--algorithm", "pairwise"),
+        ],
+    )
+    def test_sweep_rejects_collective_flags_with_workload(self, flag, value):
+        with pytest.raises(SystemExit, match=f"{flag} conflicts with --workload"):
+            main(
+                [
+                    "sweep", "-H", "[[2,2,4]]", flag, value,
+                    "--workload", "stencil", "--param", "dims=[4,4]",
+                ]
+            )
+
+    def test_advise_rejects_collective_with_workload(self):
+        with pytest.raises(SystemExit, match="--collective conflicts with --workload"):
+            main(
+                [
+                    "advise", "-H", "node:2 socket:2 core:4",
+                    "--collective", "allgather",
+                    "--workload", "stencil", "--param", "dims=[4,4]",
+                ]
+            )
+
     def test_sweep_requires_sizes_or_workload(self):
         with pytest.raises(SystemExit, match="--comm-sizes is required"):
             main(["sweep", "-H", "[[2,2,4]]"])

@@ -108,11 +108,11 @@ def dnn_golden() -> dict:
     """The dnn workload's training-step durations as ``repr`` strings.
 
     One small DP=4 x TP=4 x PP=2 transformer step on hydra-16 (32 ranks,
-    16 concurrent instances), scored through :func:`workload_sweep` on
+    16 concurrent instances), scored through :func:`sweep` on
     every registered execution backend so the whole engine path -- not
     just the lowering -- is pinned.
     """
-    from repro.bench.sweeps import workload_sweep
+    from repro.bench.sweeps import sweep
     from repro.topology.machines import hydra
 
     topology = hydra(16)
@@ -120,11 +120,11 @@ def dnn_golden() -> dict:
     backends = {}
     sample = None
     for backend in ("round", "des", "logp"):
-        records = workload_sweep(
+        records = sweep(
             topology,
             hierarchy,
-            "dnn",
-            params=dict(DNN_PARAMS),
+            workload="dnn",
+            workload_params=dict(DNN_PARAMS),
             orders=DNN_ORDERS,
             backend=backend,
             prune=False,

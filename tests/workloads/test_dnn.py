@@ -98,15 +98,15 @@ class TestGolden:
     """Bitwise lock of one small step on hydra-16 (regen with --dnn)."""
 
     def sweep(self, golden, backend, orders):
-        from repro.bench.sweeps import workload_sweep
+        from repro.bench.sweeps import sweep
         from repro.topology.machines import hydra
 
         topology = hydra(16)
-        return workload_sweep(
+        return sweep(
             topology,
             topology.hierarchy,
-            golden["workload"],
-            params=golden["params"],
+            workload=golden["workload"],
+            workload_params=golden["params"],
             orders=orders,
             backend=backend,
             prune=False,
@@ -142,23 +142,6 @@ class TestRequestKeys:
 
         return generic_cluster((2, 2, 4))
 
-    def test_legacy_canonical_untouched_without_workload(self):
-        from repro.engine.keys import EvalRequest
-
-        topo = self.topo()
-        req = EvalRequest(
-            model="round",
-            topology=topo,
-            hierarchy=topo.hierarchy,
-            order=(2, 1, 0),
-            comm_size=16,
-            collective="alltoall",
-            total_bytes=1e5,
-        )
-        doc = req.canonical()
-        assert "workload" not in doc
-        assert "workload_params" not in doc
-
     def test_workload_extends_the_key(self):
         from repro.engine.keys import EvalRequest
         from repro.workloads import canonical_params
@@ -187,19 +170,19 @@ class TestRequestKeys:
 
     def test_sweep_and_ladder_share_content_keys(self):
         """A ladder's final-rung request is bitwise the sweep's request."""
-        from repro.bench.sweeps import workload_ladder_sweep, workload_sweep
+        from repro.bench.sweeps import ladder_sweep, sweep
         from repro.engine import SweepEngine
         from repro.topology.machines import generic_cluster
 
         topo = generic_cluster((2, 2, 4))
         engine = SweepEngine(jobs=1, prune=False)
-        workload_sweep(
-            topo, topo.hierarchy, "stencil", params={"dims": (4, 4)},
-            engine=engine, prune=False,
+        sweep(
+            topo, topo.hierarchy, workload="stencil",
+            workload_params={"dims": (4, 4)}, engine=engine, prune=False,
         )
         hits_before = engine.stats.memory_hits
-        workload_ladder_sweep(
-            topo, topo.hierarchy, "stencil", params={"dims": (4, 4)},
-            engine=engine, top_k=3,
+        ladder_sweep(
+            topo, topo.hierarchy, workload="stencil",
+            workload_params={"dims": (4, 4)}, engine=engine, top_k=3,
         )
         assert engine.stats.memory_hits > hits_before

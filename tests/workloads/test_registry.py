@@ -5,17 +5,16 @@ Two contracts are locked here:
 - **registry semantics**: names, schemas, canonicalisation, structured
   errors, and the validate/freeze/memoize policy of the single lowering
   path (:func:`repro.workloads.lower_workload`);
-- **producer equivalence**: every historical entry point in
-  :mod:`repro.ir.lower` (collective/stencil/nascg/splatt) is now a thin
-  shim over the registry and must keep producing bitwise-identical
-  programs.
+- **producer equivalence**: the collective/stencil/nascg/splatt
+  workloads lower to programs bitwise-identical to their producers' own
+  round lists, and :func:`repro.ir.collective_program` is the
+  ``collective`` workload's memo entry.
 """
 
 import numpy as np
 import pytest
 
 from repro.ir import CommProgram, collective_program
-from repro.ir.lower import nascg_program, splatt_mode_program, stencil_program
 from repro.workloads import (
     UnknownWorkloadError,
     WorkloadError,
@@ -110,7 +109,7 @@ class TestLowerWorkload:
 
 
 class TestProducerShims:
-    """ir.lower entry points stay bitwise-equal to direct lowerings."""
+    """Workload lowerings stay bitwise-equal to their producers."""
 
     @pytest.mark.parametrize("collective", ["alltoall", "allgather", "allreduce"])
     @pytest.mark.parametrize("p", [4, 7, 16])
@@ -136,9 +135,17 @@ class TestProducerShims:
         topo = generic_cluster((2, 2, 4), names=h.names)
         model = StencilModel(topo, h, dims)
         cart = CartTopology(h, dims, (2, 1, 0))
-        shim = stencil_program(model, cart)
-        legacy = from_rounds(model.exchange_rounds(cart), n_ranks=shim.n_ranks)
-        assert_programs_equal(shim, legacy)
+        lowered = lower_workload(
+            "stencil",
+            {
+                "dims": tuple(model.dims),
+                "periodic": tuple(int(f) for f in cart.periodic),
+                "cell_bytes": float(model.cell_bytes),
+                "local_extent": int(model.local_extent),
+            },
+        )
+        legacy = from_rounds(model.exchange_rounds(cart), n_ranks=lowered.n_ranks)
+        assert_programs_equal(lowered, legacy)
 
     @pytest.mark.parametrize("p", [4, 8, 16])
     def test_nascg_program_matches_model(self, p):
@@ -147,22 +154,24 @@ class TestProducerShims:
         from repro.topology.machines import lumi_node
 
         model = CGTimeModel(lumi_node(), "C")
-        shim = nascg_program(model, p)
+        lowered = lower_workload("nascg", {"klass": model.klass.name, "p": p})
         legacy = from_rounds(model.comm_rounds_per_iteration(p), n_ranks=p)
-        assert_programs_equal(shim, legacy)
+        assert_programs_equal(lowered, legacy)
 
     @pytest.mark.parametrize("p", [2, 5, 8])
     def test_splatt_program_matches_pairwise_rounds(self, p):
         from repro.collectives.misc import alltoallv_pairwise_rounds
         from repro.ir.lower import from_rounds
 
-        shim = splatt_mode_program(1e4, p, mode=1)
+        lowered = lower_workload(
+            "splatt", {"p": p, "per_pair_bytes": 1e4, "mode": 1}
+        )
         sizes = np.full((p, p), 1e4)
         np.fill_diagonal(sizes, 0.0)
         legacy = from_rounds(alltoallv_pairwise_rounds(sizes), n_ranks=p)
-        assert_programs_equal(shim, legacy)
-        assert shim.meta.source == "splatt"
-        assert shim.meta.algorithm == "pairwise"
+        assert_programs_equal(lowered, legacy)
+        assert lowered.meta.source == "splatt"
+        assert lowered.meta.algorithm == "pairwise"
 
 
 class TestRoundsWorkload:
