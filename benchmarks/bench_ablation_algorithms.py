@@ -13,7 +13,6 @@ import pytest
 from repro.bench.figures import HYDRA16
 from repro.bench.microbench import size_sweep
 from repro.bench.report import assert_checks, microbench_shape_checks, print_checks
-from repro.netsim.fabric import Fabric
 from repro.topology.machines import hydra
 
 ORDERS = [(0, 1, 2, 3), (3, 2, 1, 0)]
@@ -22,17 +21,11 @@ SIZES = [64e3, 4e6, 64e6]
 
 @pytest.mark.parametrize("algorithm", ["pairwise", "bruck", None])
 def test_trends_hold_for_every_alltoall_algorithm(once, algorithm):
-    topo = hydra(16)
-    fabric = Fabric(topo)
-
     def sweep():
-        return [
-            size_sweep(
-                topo, HYDRA16, order, 16, "alltoall", SIZES,
-                algorithm=algorithm, fabric=fabric,
-            )
-            for order in ORDERS
-        ]
+        return size_sweep(
+            hydra(16), HYDRA16, ORDERS, 16, "alltoall", SIZES,
+            algorithm=algorithm,
+        )
 
     series = once(sweep)
     label = algorithm or "tuned-selector"
@@ -47,17 +40,11 @@ def test_trends_hold_for_every_alltoall_algorithm(once, algorithm):
 
 @pytest.mark.parametrize("algorithm", ["ring", "recursive_doubling", "rabenseifner"])
 def test_trends_hold_for_every_allreduce_algorithm(once, algorithm):
-    topo = hydra(16)
-    fabric = Fabric(topo)
-
     def sweep():
-        return [
-            size_sweep(
-                topo, HYDRA16, order, 64, "allreduce", SIZES,
-                algorithm=algorithm, fabric=fabric,
-            )
-            for order in ORDERS
-        ]
+        return size_sweep(
+            hydra(16), HYDRA16, ORDERS, 64, "allreduce", SIZES,
+            algorithm=algorithm,
+        )
 
     series = once(sweep)
     by_order = {s.order: s for s in series}

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 
 from repro.bench.figures import HYDRA16, LUMI16
-from repro.bench.microbench import run_microbench
+from repro.bench.microbench import size_sweep
 from repro.core.equivalence import equivalence_classes
-from repro.netsim.fabric import Fabric
+from repro.engine import SweepEngine
 from repro.topology.machines import hydra
 
 
@@ -38,19 +38,18 @@ def test_pruning_factor_lumi(once):
 def test_equivalent_orders_time_identically(once):
     """Soundness: same-signature orders give the same collective time."""
     topo = hydra(16)
-    fabric = Fabric(topo)
+    # Time every order: a pruning engine would score one per class.
+    engine = SweepEngine(prune=False)
     classes = once(equivalence_classes, HYDRA16, 16)
     checked = 0
     for sigs in classes.values():
         if len(sigs) < 2:
             continue
-        times = [
-            run_microbench(
-                topo, HYDRA16, s.order, 16, "alltoall", 4e6,
-                algorithm="pairwise", fabric=fabric,
-            ).duration_single
-            for s in sigs[:3]
-        ]
+        series = size_sweep(
+            topo, HYDRA16, [s.order for s in sigs[:3]], 16, "alltoall",
+            [4e6], algorithm="pairwise", engine=engine,
+        )
+        times = [s.points[0].duration_single for s in series]
         spread = (max(times) - min(times)) / min(times)
         assert spread < 0.02, (
             f"class {sigs[0].key} times diverge by {spread:.1%}: "

@@ -14,14 +14,12 @@ Run:  python examples/subcommunicator_collectives.py
 from repro.bench.microbench import paper_sizes, size_sweep
 from repro.bench.report import series_table
 from repro.core.hierarchy import Hierarchy
-from repro.netsim.fabric import Fabric
 from repro.topology.machines import hydra
 
 
 def main() -> None:
     topology = hydra(8)  # 8 nodes x 2 sockets x 2 groups x 8 cores
     hierarchy = Hierarchy((8, 2, 2, 8), ("node", "socket", "group", "core"))
-    fabric = Fabric(topology)
     orders = [
         (0, 1, 2, 3),  # fully spread: one rank per node first
         (1, 3, 2, 0),  # Slurm default (block:cyclic)
@@ -30,10 +28,7 @@ def main() -> None:
     sizes = paper_sizes(lo=64e3, hi=64e6, n=6)
     print(f"{topology.name}: 256 ranks, MPI_Alltoall in 16 subcommunicators "
           "of 16 ranks\n")
-    series = [
-        size_sweep(topology, hierarchy, order, 16, "alltoall", sizes, fabric=fabric)
-        for order in orders
-    ]
+    series = size_sweep(topology, hierarchy, orders, 16, "alltoall", sizes)
     for s in series:
         print("  ", s.legend())
     print()

@@ -14,7 +14,6 @@ from repro.bench.microbench import (
     MicrobenchPoint,
     MicrobenchSeries,
     collective_schedule,
-    run_microbench,
     size_sweep,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "MicrobenchPoint",
     "MicrobenchSeries",
     "collective_schedule",
-    "run_microbench",
     "size_sweep",
 ]

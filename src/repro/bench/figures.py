@@ -14,10 +14,10 @@ from typing import Sequence
 
 from repro.apps.nascg.parallel import CGRun, perfect_scaling_reference, strong_scaling
 from repro.apps.splatt.parallel import CPDRun, reordering_study
-from repro.bench.microbench import MicrobenchSeries, paper_sizes
+from repro.bench.microbench import MicrobenchSeries, paper_sizes, size_sweep
 from repro.core.hierarchy import Hierarchy
 from repro.core.mixed_radix import MixedRadix
-from repro.core.orders import all_orders, format_order
+from repro.core.orders import all_orders
 from repro.core.reorder import RankReordering
 from repro.launcher.slurm import order_to_distribution
 from repro.profiling.correlation import pearson
@@ -97,62 +97,12 @@ def fig2_enumerations(comm_size: int = 4) -> list[Fig2Enumeration]:
 # -- Figures 3-7: micro-benchmarks -------------------------------------------
 
 
-def _sweep_figure(
-    topology, hierarchy, orders, comm_size, collective, sizes, algorithm=None,
-    engine=None, backend="round", batch=False,
-) -> list[MicrobenchSeries]:
-    """Evaluate one figure's (order x size) grid as one collective sweep.
-
-    The grid runs through :func:`~repro.bench.sweeps.sweep` on ``engine``
-    (a private serial one when none is passed) -- memoized,
-    equivalence-pruned, and fanned out over the engine's worker pool.
-    ``backend`` names the execution backend for every grid point
-    (``round`` reproduces the paper figures bit-identically; ``logp``
-    trades absolute fidelity for speed; ``des`` replays every point on
-    the flow-level simulator).  ``batch`` routes the grid through the
-    engine's vectorized evaluators (bitwise identical).
-    """
-    from repro.bench.microbench import MicrobenchPoint
-    from repro.bench.sweeps import sweep
-    from repro.collectives.selector import select_algorithm
-    from repro.core.metrics import signature
-
-    orders = [tuple(order) for order in orders]
-    sizes = list(sizes)
-    records = sweep(
-        topology, hierarchy, [comm_size], collectives=[collective],
-        sizes=sizes, orders=orders, algorithm=algorithm, engine=engine,
-        backend=backend, batch=batch,
-    )
-    points = {
-        (rec.order, rec.total_bytes): MicrobenchPoint(
-            rec.total_bytes, rec.duration_single, rec.duration_all
-        )
-        for rec in records
-    }
-    algo_label = algorithm or "+".join(
-        sorted({select_algorithm(collective, comm_size, s) for s in sizes})
-    )
-    return [
-        MicrobenchSeries(
-            order=order,
-            signature=signature(hierarchy, order, comm_size),
-            collective=collective,
-            algorithm=algo_label,
-            comm_size=comm_size,
-            n_comms=hierarchy.size // comm_size,
-            points=tuple(points[format_order(order), s] for s in sizes),
-        )
-        for order in orders
-    ]
-
-
 def fig3_data(
     sizes: Sequence[float] | None = None, engine=None, backend: str = "round",
     batch: bool = False,
 ) -> list[MicrobenchSeries]:
     """Figure 3: Alltoall, 16 Hydra nodes, 512 ranks, 16 per communicator."""
-    return _sweep_figure(
+    return size_sweep(
         hydra(16), HYDRA16, FIG3_ORDERS, 16, "alltoall",
         sizes or paper_sizes(n=9), engine=engine, backend=backend, batch=batch,
     )
@@ -162,7 +112,7 @@ def fig4_data(
     sizes: Sequence[float] | None = None, engine=None, backend: str = "round"
 ) -> list[MicrobenchSeries]:
     """Figure 4: Alltoall, 16 Hydra nodes, 512 ranks, 128 per communicator."""
-    return _sweep_figure(
+    return size_sweep(
         hydra(16), HYDRA16, FIG4_ORDERS, 128, "alltoall",
         sizes or paper_sizes(n=7), engine=engine, backend=backend,
     )
@@ -172,7 +122,7 @@ def fig5_data(
     sizes: Sequence[float] | None = None, engine=None, backend: str = "round"
 ) -> list[MicrobenchSeries]:
     """Figure 5: Alltoall, 16 LUMI nodes, 2048 ranks, 16 per communicator."""
-    return _sweep_figure(
+    return size_sweep(
         lumi(16), LUMI16, FIG5_ORDERS, 16, "alltoall",
         sizes or paper_sizes(n=7), engine=engine, backend=backend,
     )
@@ -182,7 +132,7 @@ def fig6_data(
     sizes: Sequence[float] | None = None, engine=None, backend: str = "round"
 ) -> list[MicrobenchSeries]:
     """Figure 6: Allreduce, 16 Hydra nodes, 512 ranks, 64 per communicator."""
-    return _sweep_figure(
+    return size_sweep(
         hydra(16), HYDRA16, FIG6_ORDERS, 64, "allreduce",
         sizes or paper_sizes(n=9), engine=engine, backend=backend,
     )
@@ -192,7 +142,7 @@ def fig7_data(
     sizes: Sequence[float] | None = None, engine=None, backend: str = "round"
 ) -> list[MicrobenchSeries]:
     """Figure 7: Allgather, 16 LUMI nodes, 2048 ranks, 256 per communicator."""
-    return _sweep_figure(
+    return size_sweep(
         lumi(16), LUMI16, FIG7_ORDERS, 256, "allgather",
         sizes or paper_sizes(n=7), engine=engine, backend=backend,
     )

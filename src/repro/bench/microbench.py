@@ -19,26 +19,27 @@ is designed to reach.
 The reported *collective bandwidth* matches the paper's definition: the
 figure-axis data size (communicator size x count x sizeof(datatype))
 divided by the average duration of one collective call.
+
+Each (order, size) point is one engine request scored by the protocol
+evaluator of :mod:`repro.engine.evaluators`, whatever the backend;
+:func:`size_sweep` assembles a figure's grid into per-order series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.ir.program import CommProgram
 
 from repro.ir.lower import placed_rounds
 from repro.collectives.selector import rounds_for
 from repro.core.hierarchy import Hierarchy
 from repro.core.metrics import OrderSignature, signature
-from repro.core.orders import Order
+from repro.core.orders import Order, format_order
 from repro.core.reorder import RankReordering
-from repro.netsim.fabric import Fabric, RoundSchedule
+from repro.netsim.fabric import RoundSchedule
 from repro.topology.machine import MachineTopology
 
 
@@ -116,120 +117,64 @@ def comm_members(
     return members
 
 
-def run_program(
-    topology: MachineTopology,
-    hierarchy: Hierarchy,
-    order: Sequence[int],
-    program: "CommProgram",
-    fabric: Fabric | None = None,
-    backend: str = "round",
-) -> MicrobenchPoint:
-    """Steps 1-4 of the protocol for one already-lowered program.
-
-    The communicator size is the program's rank count: step 2 carves the
-    reordered world into ``hierarchy.size // program.n_ranks``
-    subcommunicators and the program runs on the first (``single``) and on
-    all of them simultaneously (``all``).  This is the workload-frontend
-    entry point -- :func:`run_microbench` is the collective-shaped shim
-    over it -- so dnn training steps, stencil halos and raw round programs
-    all measure through the identical placement/backend plumbing.
-
-    The reported ``total_bytes`` prefers the producer's declared volume
-    (``program.meta.total_bytes``, the figure-axis size for collectives)
-    and falls back to the program's summed flow bytes.
-    """
-    from repro.ir import get_backend
-
-    hierarchy.check_process_count(topology.n_cores)
-    members = comm_members(hierarchy, tuple(order), program.n_ranks)
-
-    engine = get_backend(backend)
-    options = {}
-    if backend == "round":
-        options["fabric"] = fabric or engine.fabric(topology)
-    duration_single = engine.run(topology=topology, program=program,
-                                 placements=[members[0]], **options).time
-    duration_all = engine.run(topology=topology, program=program,
-                              placements=list(members), **options).time
-    total = program.meta.total_bytes
-    if total is None:
-        total = program.total_bytes
-    return MicrobenchPoint(float(total), duration_single, duration_all)
-
-
-def run_microbench(
-    topology: MachineTopology,
-    hierarchy: Hierarchy,
-    order: Sequence[int],
-    comm_size: int,
-    collective: str,
-    total_bytes: float,
-    algorithm: str | None = None,
-    fabric: Fabric | None = None,
-    backend: str = "round",
-) -> MicrobenchPoint:
-    """Steps 1-4 of the protocol for one data size.
-
-    ``hierarchy`` is the *description* fed to the mixed-radix algorithm
-    (it may include fake levels); its size must equal the core count of
-    ``topology`` (one MPI process per core, canonical rank ``r`` bound to
-    core ``r``).
-
-    The collective is lowered once to a :class:`~repro.ir.program.CommProgram`
-    and executed by the registered ``backend`` -- ``round`` (the paper's
-    model, bit-identical to the pre-IR schedule pipeline), ``logp`` (fast
-    advisory analytics) or ``des`` (exact flow simulation).  A shared
-    ``fabric`` carries the round model's pattern cache across calls; other
-    backends ignore it.
-    """
-    from repro.ir import collective_program
-
-    program = collective_program(collective, comm_size, total_bytes, algorithm)
-    point = run_program(
-        topology, hierarchy, order, program, fabric=fabric, backend=backend
-    )
-    # Report the requested figure-axis size verbatim (bit-identical to the
-    # historical signature even if a producer ever rounds its meta volume).
-    return MicrobenchPoint(
-        total_bytes, point.duration_single, point.duration_all
-    )
-
-
 def size_sweep(
     topology: MachineTopology,
     hierarchy: Hierarchy,
-    order: Sequence[int],
+    orders: Sequence[Order],
     comm_size: int,
     collective: str,
     sizes: Sequence[float],
     algorithm: str | None = None,
-    fabric: Fabric | None = None,
+    engine=None,
     backend: str = "round",
-) -> MicrobenchSeries:
-    """One figure curve: the protocol across a size sweep."""
+    batch: bool = False,
+) -> list[MicrobenchSeries]:
+    """Figure curves: the protocol across a size sweep, one per order.
+
+    ``hierarchy`` is the *description* fed to the mixed-radix algorithm
+    (it may include fake levels); its size must equal the core count of
+    ``topology`` (one MPI process per core, canonical rank ``r`` bound to
+    core ``r``).  The ``orders x sizes`` grid runs as one collective
+    :func:`~repro.bench.sweeps.sweep` on ``engine`` (a private serial one
+    when none is passed) -- memoized, equivalence-pruned, and fanned out
+    over the engine's worker pool.  ``backend`` names the execution
+    backend for every point (``round`` reproduces the paper figures
+    bit-identically; ``logp`` trades absolute fidelity for speed; ``des``
+    replays every point on the flow-level simulator).  ``batch`` routes
+    the grid through the engine's vectorized evaluators (bitwise
+    identical).
+    """
+    from repro.bench.sweeps import sweep
     from repro.collectives.selector import select_algorithm
 
-    if backend == "round":
-        fabric = fabric or Fabric(topology)
-    points = tuple(
-        run_microbench(
-            topology, hierarchy, order, comm_size, collective, s, algorithm,
-            fabric, backend=backend,
-        )
-        for s in sizes
+    orders = [tuple(order) for order in orders]
+    sizes = list(sizes)
+    records = sweep(
+        topology, hierarchy, [comm_size], collectives=[collective],
+        sizes=sizes, orders=orders, algorithm=algorithm, engine=engine,
+        backend=backend, batch=batch,
     )
+    points = {
+        (rec.order, rec.total_bytes): MicrobenchPoint(
+            rec.total_bytes, rec.duration_single, rec.duration_all
+        )
+        for rec in records
+    }
     algo_label = algorithm or "+".join(
         sorted({select_algorithm(collective, comm_size, s) for s in sizes})
     )
-    return MicrobenchSeries(
-        order=tuple(order),
-        signature=signature(hierarchy, order, comm_size),
-        collective=collective,
-        algorithm=algo_label,
-        comm_size=comm_size,
-        n_comms=hierarchy.size // comm_size,
-        points=points,
-    )
+    return [
+        MicrobenchSeries(
+            order=order,
+            signature=signature(hierarchy, order, comm_size),
+            collective=collective,
+            algorithm=algo_label,
+            comm_size=comm_size,
+            n_comms=hierarchy.size // comm_size,
+            points=tuple(points[format_order(order), s] for s in sizes),
+        )
+        for order in orders
+    ]
 
 
 def paper_sizes(lo: float = 16e3, hi: float = 512e6, n: int = 11) -> list[float]:

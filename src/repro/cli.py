@@ -142,23 +142,6 @@ def _cmd_classes(args: argparse.Namespace) -> int:
     return 0
 
 
-def _machine_topology(machine: str, h):
-    from repro.topology.machines import generic_cluster, hydra, lumi
-
-    if machine == "hydra":
-        topology = hydra(h.radices[0])
-    elif machine == "lumi":
-        topology = lumi(h.radices[0])
-    else:
-        topology = generic_cluster(h.radices, h.names)
-    if topology.hierarchy.radices != h.radices:
-        raise SystemExit(
-            f"hierarchy {h} does not match the {machine} preset "
-            f"{topology.hierarchy}"
-        )
-    return topology
-
-
 def _parse_endpoint(spec: str) -> tuple[str, int]:
     host, sep, port = spec.rpartition(":")
     if not sep or not host:
@@ -215,10 +198,14 @@ def _reject_with_workload(args: argparse.Namespace, flags: Sequence[str]) -> Non
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench.sweeps import ladder_sweep, sweep, to_csv, top_k_records
     from repro.engine import SweepEngine
+    from repro.service.app import QueryError, topology_for
     from repro.workloads import WorkloadError
 
     h = parse_synthetic(args.hierarchy)
-    topology = _machine_topology(args.machine, h)
+    try:
+        topology = topology_for(args.machine, h)
+    except QueryError as err:
+        raise SystemExit(str(err)) from None
     workload, wl_params = _workload_query(args)
     if workload is None:
         if not args.comm_sizes:
@@ -347,10 +334,14 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 def _cmd_advise(args: argparse.Namespace) -> int:
     from repro.core.advisor import advise
+    from repro.service.app import QueryError, topology_for
     from repro.workloads import WorkloadError
 
     h = parse_synthetic(args.hierarchy)
-    topology = _machine_topology(args.machine, h)
+    try:
+        topology = topology_for(args.machine, h)
+    except QueryError as err:
+        raise SystemExit(str(err)) from None
     workload, wl_params = _workload_query(args)
     if workload is None and args.comm_size is None:
         raise SystemExit(

@@ -24,10 +24,8 @@ Quick start::
 """
 
 from repro.engine.batch import (
-    BatchEvalRequest,
     BatchEvaluationError,
     FailedPoint,
-    evaluate_batch,
     failed_point,
 )
 from repro.engine.cache import ResultCache
@@ -74,7 +72,6 @@ from repro.engine.supervisor import (
 __all__ = [
     "AUDIT_RTOL",
     "BATCH_EVALUATORS",
-    "BatchEvalRequest",
     "BatchEvaluationError",
     "CACHE_SCHEMA",
     "DistributedSupervisor",
@@ -98,7 +95,6 @@ __all__ = [
     "TaskSupervisor",
     "analytic_order_score",
     "default_rungs",
-    "evaluate_batch",
     "evaluate_request",
     "evaluate_requests_batch",
     "failed_point",

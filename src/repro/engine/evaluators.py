@@ -131,24 +131,33 @@ def _workload_program(req: EvalRequest):
 def _protocol_point(req: EvalRequest, backend: str) -> dict:
     """Section 4.1 protocol point: one and all subcommunicators.
 
-    ``round`` and ``logp`` share the protocol and output keys, so sweeps,
-    figures and the advisor consume either interchangeably; ``logp``
-    fidelity is advisory (order rankings, not absolute durations).
+    Steps 1-4 of the protocol for one lowered workload: the reordered
+    world is carved into ``hierarchy.size // program.n_ranks``
+    subcommunicators and the program runs on the first (``single``) and
+    on all of them simultaneously (``all``).  Every protocol backend
+    (``round``, ``logp``, ``des``) shares this path and its output keys,
+    so sweeps, figures and the advisor consume any of them
+    interchangeably; ``logp`` fidelity is advisory (order rankings, not
+    absolute durations).
     """
-    from repro.bench.microbench import run_program
+    from repro.bench.microbench import comm_members
+    from repro.ir import get_backend
 
-    point = run_program(
-        req.topology, req.hierarchy, req.order, _workload_program(req),
-        backend=backend,
-    )
-    return {
-        "duration_single": point.duration_single,
-        "duration_all": point.duration_all,
-    }
+    program = _workload_program(req)
+    req.hierarchy.check_process_count(req.topology.n_cores)
+    members = comm_members(req.hierarchy, req.order, program.n_ranks)
+    engine = get_backend(backend)
+    options = {}
+    if backend == "round":
+        options["fabric"] = engine.fabric(req.topology)
+    single = engine.run(program, req.topology, [members[0]], **options)
+    both = engine.run(program, req.topology, list(members), **options)
+    return {"duration_single": single.time, "duration_all": both.time}
 
 
 register_evaluator("round", partial(_protocol_point, backend="round"))
 register_evaluator("logp", partial(_protocol_point, backend="logp"))
+register_evaluator("des", partial(_protocol_point, backend="des"))
 
 
 def _eval_protocol_batch(
@@ -197,51 +206,6 @@ register_batch_evaluator("round", partial(_eval_protocol_batch, "round"))
 register_batch_evaluator("logp", partial(_eval_protocol_batch, "logp"))
 
 
-def _eval_des(req: EvalRequest) -> dict:
-    """DES replay of the first subcommunicator's program.
-
-    Returns both the DES makespan and the round model's prediction for the
-    same schedule, so differential consumers get their comparison from one
-    cached evaluation.  ``duration_single`` aliases the DES makespan so
-    backend-agnostic consumers (sweep records, figures) find the key they
-    expect; with the ``des_all`` extra set, the all-subcommunicators
-    scenario is additionally simulated (every communicator's program
-    offset-concatenated into one DES run) as ``duration_all``.
-    """
-    from repro.core.reorder import RankReordering
-    from repro.ir import get_backend, placed_rounds
-    from repro.netsim.fabric import Fabric
-
-    reordering = RankReordering(req.hierarchy, req.order, req.comm_size)
-    cores = reordering.comm_members(0)
-    program = _workload_program(req)
-    mode = req.extra("mode", "lockstep")
-    incremental = bool(req.extra("incremental", True))
-    audit_rates = bool(req.extra("audit_rates", False))
-    backend = get_backend("des")
-    t_des = backend.run(
-        program, req.topology, [cores],
-        mode=mode, incremental=incremental, audit=audit_rates,
-    ).time
-    t_round = placed_rounds(program, cores).total_time(Fabric(req.topology))
-    out = {
-        "duration_des": t_des,
-        "duration_round": t_round,
-        "duration_single": t_des,
-        "n_rounds": float(program.n_distinct_rounds),
-    }
-    if req.extra("des_all", False):
-        members = reordering.all_comm_members()
-        out["duration_all"] = backend.run(
-            program, req.topology, list(members),
-            mode=mode, incremental=incremental, audit=audit_rates,
-        ).time
-    return out
-
-
-register_evaluator("des", _eval_des)
-
-
 # -- verification cells -------------------------------------------------------
 
 
@@ -249,8 +213,9 @@ def _eval_verify(req: EvalRequest) -> dict:
     """One (collective, algorithm, comm size) cell of a verify sweep.
 
     Runs the semantic checker, the round-vs-DES differential and the
-    trace-invariant audit; the DES replay is the expensive part, which is
-    exactly what engine memoization amortizes across repeated campaigns.
+    trace-invariant audit; the audit reads the flow records of the
+    differential's own DES replay, the expensive part, which is exactly
+    what engine memoization amortizes across repeated campaigns.
     """
     from repro.collectives.selector import rounds_for
     from repro.verify import (
@@ -258,33 +223,25 @@ def _eval_verify(req: EvalRequest) -> dict:
         check_schedule,
         check_trace,
         compare_schedule,
-        replay_rounds_des,
     )
 
     p = req.comm_size
     tol = req.extra("tolerance")
     tol = DEFAULT_TOLERANCE if tol is None else float(tol)
-    incremental = bool(req.extra("incremental", True))
-    audit_rates = bool(req.extra("audit_rates", False))
     rounds = rounds_for(req.collective, p, req.total_bytes, req.algorithm)
     sem = check_schedule(
         req.collective, rounds, p, req.total_bytes, algorithm=req.algorithm
     )
     if p >= 2:
-        cores = np.arange(p, dtype=np.int64)
+        trace: list = []
         diff = compare_schedule(
             req.topology,
-            cores,
+            np.arange(p, dtype=np.int64),
             rounds,
             label=f"{req.collective}/{req.algorithm}",
             total_bytes=req.total_bytes,
             tolerance=tol,
-            incremental=incremental,
-            audit=audit_rates,
-        )
-        _t, _timings, trace = replay_rounds_des(
-            req.topology, cores, rounds,
-            incremental=incremental, audit=audit_rates,
+            listeners=[trace.append],
         )
         inv = check_trace(req.topology, trace)
         diff_ok, diff_err = diff.ok, diff.rel_err

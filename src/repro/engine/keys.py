@@ -46,7 +46,12 @@ from repro.topology.machine import MachineTopology
 #:           shape: a collective is the ``collective`` workload, so the
 #:           legacy ``collective``/``algorithm``/``total_bytes`` fields no
 #:           longer appear in their canonical documents.
-CACHE_SCHEMA = 4
+#:   4 -> 5: ``des`` joined the shared protocol-point evaluator: its
+#:           results are exactly ``duration_single``/``duration_all``,
+#:           and ``duration_all`` is always simulated, so a schema-4
+#:           record of an extras-free ``des`` request (which lacks
+#:           ``duration_all``) must not be served.
+CACHE_SCHEMA = 5
 
 #: Models that run the Section 4.1 protocol point: place one lowered
 #: workload on the reordered world and time it on one subcommunicator
@@ -270,36 +275,21 @@ def protocol_request(
     comm_size: int,
     workload: str,
     workload_params: tuple[tuple[str, Any], ...],
-    seed: int = 0,
-    extras: tuple[tuple[str, Any], ...] = (),
 ) -> EvalRequest:
     """The one constructor of protocol-point requests.
 
-    Sweeps, ladders, figures, frontier batches and the advisor all build
-    their ``round``/``logp``/``des`` requests here, so equal physics gets
-    equal keys wherever it is asked for.  ``des`` requests always carry
-    the ``des_all`` extra: protocol consumers read ``duration_all``, which
-    the DES evaluator only simulates when asked.
+    Sweeps, ladders, figures and the advisor all build their
+    ``round``/``logp``/``des`` requests here, so equal physics gets
+    equal keys wherever it is asked for.  Every protocol backend returns
+    ``duration_single`` and ``duration_all``, so no request carries
+    extras.
     """
-    if model == "des":
-        extras = tuple(dict((*extras, ("des_all", True))).items())
     return EvalRequest(
         model=model,
         topology=topology,
         hierarchy=hierarchy,
         order=order,
         comm_size=comm_size,
-        seed=seed,
-        extras=extras,
         workload=workload,
         workload_params=workload_params,
     )
-
-
-def request_batch_orders(requests: Sequence[EvalRequest]) -> list[tuple[int, ...]]:
-    """Distinct orders appearing in a request batch, in first-seen order."""
-    seen: dict[tuple[int, ...], None] = {}
-    for r in requests:
-        if r.order is not None:
-            seen.setdefault(r.order, None)
-    return list(seen)

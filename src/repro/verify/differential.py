@@ -201,12 +201,15 @@ def compare_schedule(
     network: FlowNetwork | None = None,
     fabric: Fabric | None = None,
     backend: str = "des",
+    listeners: Sequence = (),
 ) -> DifferentialCase:
     """Round-model vs reference-backend duration of one schedule.
 
     ``backend`` names the registered execution backend the round model is
     checked against (``des`` by default -- the model of record; ``logp``
-    gives a fast advisory comparison).
+    gives a fast advisory comparison).  ``listeners`` receive the DES
+    replay's flow records (see :func:`replay_rounds_des`), so a caller
+    can audit the trace without replaying the schedule again.
     """
     from repro.ir import from_rounds, get_backend, placed_rounds
 
@@ -215,7 +218,7 @@ def compare_schedule(
     t_round = placed_rounds(rounds, cores).total_time(fabric)
     if backend == "des":
         t_des, timings, _records = replay_rounds_des(
-            topology, cores, rounds, mode=mode,
+            topology, cores, rounds, mode=mode, listeners=listeners,
             incremental=incremental, audit=audit, network=network, fabric=fabric,
         )
     else:

@@ -46,10 +46,9 @@ class TestFormatting:
 
     def test_series_table(self):
         topo = hydra(4)
-        series = [
-            size_sweep(topo, H, order, 16, "alltoall", [1e6, 1e7])
-            for order in [(0, 1, 2, 3), (3, 2, 1, 0)]
-        ]
+        series = size_sweep(
+            topo, H, [(0, 1, 2, 3), (3, 2, 1, 0)], 16, "alltoall", [1e6, 1e7]
+        )
         table = series_table(series)
         lines = table.splitlines()
         assert len(lines) == 3  # header + 2 sizes
@@ -61,7 +60,7 @@ class TestFormatting:
 
     def test_scenario_filter(self):
         topo = hydra(4)
-        series = [size_sweep(topo, H, (0, 1, 2, 3), 16, "alltoall", [1e6])]
+        series = size_sweep(topo, H, [(0, 1, 2, 3)], 16, "alltoall", [1e6])
         only_single = series_table(series, scenario="single")
         assert "xN" not in only_single
 
@@ -69,10 +68,9 @@ class TestFormatting:
 def test_microbench_shape_checks_on_small_machine():
     topo = hydra(8)
     h8 = Hierarchy((8, 2, 2, 8))
-    series = [
-        size_sweep(topo, h8, order, 16, "alltoall", [1e6, 64e6])
-        for order in [(0, 1, 2, 3), (3, 2, 1, 0)]
-    ]
+    series = size_sweep(
+        topo, h8, [(0, 1, 2, 3), (3, 2, 1, 0)], 16, "alltoall", [1e6, 64e6]
+    )
     checks = microbench_shape_checks(
         series, spread_order=(0, 1, 2, 3), packed_order=(3, 2, 1, 0),
         contention_factor=1.5,

@@ -74,7 +74,7 @@ class TestWireFormat:
             model="des", topology=topo, hierarchy=h, order=(1, 0),
             comm_size=4, collective="allreduce", total_bytes=12345.678,
             seed=7, schedule=schedule,
-            extras=(("des_all", True), ("nested", (1, (2, 3)))),
+            extras=(("flag", True), ("nested", (1, (2, 3)))),
         )
         wired = request_from_wire(json.loads(json.dumps(request_to_wire(request))))
         assert wired.key == request.key
@@ -91,7 +91,7 @@ class TestWireFormat:
             workload_params=canonical_params(
                 "dnn", {"dp": 2, "tp": 2, "pp": 2, "hidden": 32, "seq": 16}
             ),
-            extras=(("des_all", True),),
+            extras=(("flag", True),),
         )
         wired = request_from_wire(json.loads(json.dumps(request_to_wire(request))))
         assert wired.workload == "dnn"
@@ -126,7 +126,7 @@ wire_configs = st.fixed_dictionaries(
         "seed": st.integers(0, 2**31 - 1),
         "algorithm": st.sampled_from([None, "ring", "rd"]),
         "extras": st.sampled_from(
-            [(), (("des_all", True),), (("a", 1), ("b", (2.5, "x")))]
+            [(), (("flag", True),), (("a", 1), ("b", (2.5, "x")))]
         ),
     }
 )
@@ -186,7 +186,7 @@ class TestDistributedDeterminism:
     def test_two_worker_pool_matches_single_process_bitwise(self, tmp_path):
         """Results, journal records, and cache records from a 2-worker
         socket run are bitwise identical to a jobs=1 in-process run."""
-        requests = _requests(models=("logp", "round"))
+        requests = _requests(models=("logp", "round", "des"))
         dir_a, dir_b = tmp_path / "socket", tmp_path / "serial"
 
         engine_a = SweepEngine(cache_dir=dir_a)

@@ -201,13 +201,13 @@ class TestProtocolShape:
         assert req.workload is None
 
     @pytest.mark.parametrize("model", ["round", "logp", "des"])
-    def test_builder_matches_constructor_and_owns_des_all(self, model):
+    def test_builder_matches_constructor_and_adds_no_extras(self, model):
         from repro.engine.keys import collective_params, protocol_request
 
         req = protocol_request(
             model, _req().topology, H, (2, 1, 0), 4, "collective",
             collective_params("alltoall", 4, 1e6),
         )
-        assert req.extra("des_all", False) is (model == "des")
-        extras = (("des_all", True),) if model == "des" else ()
-        assert req.key == _req(model=model, extras=extras).key
+        assert req.extras == ()
+        assert "extras" not in req.canonical()
+        assert req.key == _req(model=model).key

@@ -8,7 +8,7 @@ model ranks the orders the same way the DES does.
 
 import numpy as np
 
-from repro.bench.microbench import run_microbench
+from repro.bench.microbench import size_sweep
 from repro.collectives.alltoall import pairwise_program
 from repro.core.hierarchy import Hierarchy
 from repro.core.reorder import RankReordering, reorder_ranks
@@ -87,10 +87,11 @@ class TestFullPipeline:
             _, sim, _, _ = _protocol_des(order, 4, 256e3)
             des_times[order] = max(sim.finish_times.values())
         fast_times = {
-            order: run_microbench(
-                _topology(), H, order, 4, "alltoall", 256e3, algorithm="pairwise"
-            ).duration_all
-            for order in des_times
+            s.order: s.points[0].duration_all
+            for s in size_sweep(
+                _topology(), H, list(des_times), 4, "alltoall", [256e3],
+                algorithm="pairwise",
+            )
         }
         des_order = sorted(des_times, key=des_times.get)
         fast_order = sorted(fast_times, key=fast_times.get)

@@ -3,8 +3,8 @@
 The bitwise contract of the vectorized evaluation path is that batching
 changes *cost*, never *results*: for any sampled frontier of (hierarchy,
 communicator, collective, payload sizes, orders), driving it through
-``evaluate_batch()`` must reproduce N scalar ``evaluate()`` calls bit for
-bit -- equal ``repr`` on every duration, hence identical order rankings
+``SweepEngine.evaluate_batch()`` must reproduce N scalar ``evaluate()``
+calls bit for bit -- equal ``repr`` on every duration, hence identical order rankings
 -- for both the ``logp`` and ``round`` backends.  A second property pins
 the same contract one layer down, on ``run_batch`` vs ``run`` of the
 backend instances themselves, with size pools chosen to straddle the
@@ -23,11 +23,8 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.bench.microbench import comm_members  # noqa: E402
 from repro.core.hierarchy import Hierarchy  # noqa: E402
 from repro.core.orders import all_orders  # noqa: E402
-from repro.engine import (  # noqa: E402
-    BatchEvalRequest,
-    SweepEngine,
-    evaluate_batch,
-)
+from repro.engine import SweepEngine  # noqa: E402
+from repro.engine.keys import collective_params, protocol_request  # noqa: E402
 from repro.ir import collective_program, create_backend  # noqa: E402
 from repro.topology.machines import generic_cluster  # noqa: E402
 
@@ -71,28 +68,49 @@ def frontiers(draw):
     }
 
 
+def _frontier_requests(backend, topo, cfg):
+    """The frontier's protocol requests, order-major:
+    ``index = o * n_sizes + s``."""
+    cells = [
+        collective_params(cfg["collective"], cfg["comm_size"], nbytes)
+        for nbytes in cfg["sizes"]
+    ]
+    return [
+        protocol_request(
+            backend, topo, cfg["hierarchy"], order, cfg["comm_size"],
+            "collective", params,
+        )
+        for order in cfg["orders"]
+        for params in cells
+    ]
+
+
+def _rank_orders(cfg, results, key):
+    """Orders fastest-first by summed duration across sizes, ties
+    broken by frontier position."""
+    n_sizes = len(cfg["sizes"])
+    totals = [
+        sum(r[key] for r in results[o * n_sizes : (o + 1) * n_sizes])
+        for o in range(len(cfg["orders"]))
+    ]
+    ranked = sorted(range(len(totals)), key=lambda o: (totals[o], o))
+    return [cfg["orders"][o] for o in ranked]
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestEvaluateBatchDifferential:
     @given(cfg=frontiers())
     @settings(max_examples=25)
     def test_bitwise_equal_and_same_ranking(self, backend, cfg):
         topo = generic_cluster(cfg["radices"])
-        batch = BatchEvalRequest(
-            model=backend,
-            topology=topo,
-            hierarchy=cfg["hierarchy"],
-            orders=cfg["orders"],
-            comm_size=cfg["comm_size"],
-            collective=cfg["collective"],
-            total_bytes=cfg["sizes"],
-        )
-        batched = evaluate_batch(batch, SweepEngine())
+        requests = _frontier_requests(backend, topo, cfg)
+        batched = SweepEngine().evaluate_batch(requests)
         scalar_engine = SweepEngine()
-        scalar = [scalar_engine.evaluate(r) for r in batch.requests()]
+        scalar = [scalar_engine.evaluate(r) for r in requests]
         assert [repr(r) for r in batched] == [repr(r) for r in scalar]
         for key in ("duration_all", "duration_single"):
-            assert batch.rank_orders(batched, key) == batch.rank_orders(
-                scalar, key
+            assert _rank_orders(cfg, batched, key) == _rank_orders(
+                cfg, scalar, key
             )
 
 
